@@ -29,14 +29,14 @@ Monte-Carlo MTTF distributions under process variation (reliaware-mcvar-v1).
 options:
   --design NAME    benchmark to analyze (repeatable; default: all bundled
                    benchmarks): dct, idct, fft, dsp, risc, risc6, vliw
-  --samples N      number of sampled dies per design (default 256)
+  --samples N      number of sampled dies per design, at least 1 (default 256)
   --seed S         base seed of the sampling streams (default 1)
   --sigma-vth V    1-sigma per-instance fresh-Vth offset in volts
                    (default 0.015, the ptm 45 nm within-die spread)
   --clamp C        clamp offsets at +/- C standard deviations (default 4)
   --workers W      worker threads for the per-die fan-out (default 4)
   --json PATH      write the reliaware-mcvar-v1 JSON record to PATH
-  --smoke          quick CI mode: 16 samples unless --samples is given
+  --smoke          quick mode: 16 samples unless --samples is given
   --report PATH    write a reliaware-run-v1 JSON run report
   -h, --help       show this help
 
@@ -78,8 +78,10 @@ fn parse_args(rest: Vec<String>) -> Result<Args, FlowError> {
             "--design" => args.designs.push(value("--design")?),
             "--samples" => {
                 let v = value("--samples")?;
-                args.samples =
-                    Some(v.parse().map_err(|_| FlowError::Usage(format!("bad sample count {v}")))?);
+                let n = v.parse().ok().filter(|&n: &usize| n > 0);
+                args.samples = Some(n.ok_or_else(|| {
+                    FlowError::Usage(format!("--samples needs at least 1 die, got {v}"))
+                })?);
             }
             "--seed" => {
                 let v = value("--seed")?;
@@ -168,7 +170,7 @@ fn run() -> Result<ExitCode, FlowError> {
             synth::synthesize(&design.aig, &library, &synth::MapOptions::default())
         })?;
         let outcome =
-            ctx.stage("mc-lifetime", || chars.mc_lifetime(&nl, &library, &lifetime, &df, samples));
+            ctx.stage("mc-lifetime", || chars.mc_lifetime(&nl, &library, &lifetime, &df, samples))?;
         let dist = &outcome.distribution;
         let contained = dist.contains_static_bound();
         all_contained &= contained;

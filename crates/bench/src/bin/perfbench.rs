@@ -622,18 +622,16 @@ fn run() -> Result<(), FlowError> {
         let lt_config = dataflow::LifetimeConfig::default();
         let df_config = dataflow::DataflowConfig::default();
         let samples = if opts.smoke { 16 } else { 256 };
-        let mc_chars = |workers: usize| -> Result<Characterizer, FlowError> {
+        let mc_lifetime = |workers: usize| -> Result<flow::McLifetimeOutcome, FlowError> {
             let config = char_config(&opts, workers);
-            Ok(Characterizer::new(CellSet::nangate45_like().subset(&["INV_X1"]), config)?
-                .with_variation(ptm::VariationModel::nominal_45nm(), 1))
+            let chars = Characterizer::new(CellSet::nangate45_like().subset(&["INV_X1"]), config)?
+                .with_variation(ptm::VariationModel::nominal_45nm(), 1);
+            Ok(chars.mc_lifetime(&nl, &fixture, &lt_config, &df_config, samples)?)
         };
-        let (one, one_secs) = time(|| {
-            mc_chars(1).map(|c| c.mc_lifetime(&nl, &fixture, &lt_config, &df_config, samples))
-        });
+        let (one, one_secs) = time(|| mc_lifetime(1));
         let one = one?;
         for workers in [2, 8] {
-            let other =
-                mc_chars(workers)?.mc_lifetime(&nl, &fixture, &lt_config, &df_config, samples);
+            let other = mc_lifetime(workers)?;
             assert_eq!(
                 one.distribution.samples.len(),
                 other.distribution.samples.len(),
@@ -649,10 +647,7 @@ fn run() -> Result<(), FlowError> {
                 );
             }
         }
-        let (pooled, pooled_secs) = time(|| {
-            mc_chars(opts.threads)
-                .map(|c| c.mc_lifetime(&nl, &fixture, &lt_config, &df_config, samples))
-        });
+        let (pooled, pooled_secs) = time(|| mc_lifetime(opts.threads));
         let pooled = pooled?;
         assert!(
             pooled.distribution.contains_static_bound(),

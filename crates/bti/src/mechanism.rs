@@ -114,8 +114,8 @@ impl AgingInput {
         Self::new(1.0, years, Stress::NOMINAL_TEMPERATURE_K, Stress::NOMINAL_VDD, 1.0e9)
     }
 
-    fn stress(&self) -> Stress {
-        Stress::years(self.years, DutyCycle::saturating(self.duty))
+    fn stress_at(&self, years: f64) -> Stress {
+        Stress::years(years, DutyCycle::saturating(self.duty))
             .with_temperature(self.temperature_k)
             .with_vdd(self.vdd)
     }
@@ -287,11 +287,6 @@ impl BtiMechanism {
         self.name = name;
         self
     }
-
-    fn delta_vth_at(&self, input: &AgingInput, years: f64) -> f64 {
-        let stress = AgingInput { years, ..*input }.stress();
-        self.model.delta_vth(&stress)
-    }
 }
 
 impl AgingMechanism for BtiMechanism {
@@ -300,7 +295,7 @@ impl AgingMechanism for BtiMechanism {
     }
 
     fn degradation(&self, input: &AgingInput) -> Degradation {
-        self.model.degradation(&input.stress())
+        self.model.degradation(&input.stress_at(input.years))
     }
 
     fn failure_distribution(&self, input: &AgingInput) -> Option<Weibull> {
@@ -308,19 +303,29 @@ impl AgingMechanism for BtiMechanism {
             return None; // no stress, no trap generation, no failure
         }
         let crit = vth_budget(self.vth_crit, input);
-        if self.delta_vth_at(input, FAILURE_HORIZON_YEARS) < crit {
+        // Only `t^n` changes along the inversion: the duty, Arrhenius and
+        // field factors are evaluated once.
+        let kinetics = self.model.kinetics(&input.stress_at(FAILURE_HORIZON_YEARS));
+        let delta_vth_at = |years: f64| kinetics.degradation(years * SECONDS_PER_YEAR).delta_vth;
+        if delta_vth_at(FAILURE_HORIZON_YEARS) < crit {
             return None;
         }
         // ΔVth(t) is a sum of two power laws — strictly increasing — so the
-        // crossing time is unique; 80 bisection steps in log-time pin it to
-        // machine precision, deterministically.
+        // crossing time is unique; at most 80 bisection steps in log-time
+        // pin it to machine precision, deterministically.
         let (mut lo, mut hi) = (1e-6f64.ln(), FAILURE_HORIZON_YEARS.ln());
-        if self.delta_vth_at(input, lo.exp()) >= crit {
+        if delta_vth_at(lo.exp()) >= crit {
             return Some(Weibull::from_mttf(lo.exp(), self.weibull_shape));
         }
         for _ in 0..80 {
             let mid = 0.5 * (lo + hi);
-            if self.delta_vth_at(input, mid.exp()) < crit {
+            // `lo` is always below the crossing and `hi` at or above it, so
+            // a midpoint that rounds onto either end leaves `hi` where it
+            // is for every remaining step.
+            if mid == lo || mid == hi {
+                break;
+            }
+            if delta_vth_at(mid.exp()) < crit {
                 lo = mid;
             } else {
                 hi = mid;
@@ -699,11 +704,99 @@ mod tests {
         let input = AgingInput::worst(10.0);
         let mttf = nbti.failure_distribution(&input).expect("worst-case NBTI fails").mttf_years();
         // The crossing time must actually cross the criterion.
-        assert!(nbti.delta_vth_at(&input, mttf) >= nbti.vth_crit * (1.0 - 1e-9));
-        assert!(nbti.delta_vth_at(&input, mttf * 0.99) < nbti.vth_crit);
+        assert!(nbti.model.delta_vth(&input.stress_at(mttf)) >= nbti.vth_crit * (1.0 - 1e-9));
+        assert!(nbti.model.delta_vth(&input.stress_at(mttf * 0.99)) < nbti.vth_crit);
         // 10-year ΔVth ≈ 51 mV with crit 150 mV → failure is far out but
         // within the horizon (power-law exponents 1/6..0.2).
         assert!(mttf > 100.0 && mttf < FAILURE_HORIZON_YEARS, "NBTI MTTF = {mttf}");
+    }
+
+    /// Which way [`reference_failure_distribution`] left.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Exit {
+        BeyondHorizon,
+        CrossedAtStart,
+        Bisected,
+    }
+
+    /// The BTI failure-time inversion before its time-independent factors
+    /// were hoisted: Eq. (2) rebuilt from the model parameters, Arrhenius
+    /// and field factors included, at every one of 80 bisection steps.
+    fn reference_failure_distribution(
+        mech: &BtiMechanism,
+        input: &AgingInput,
+    ) -> (Option<Weibull>, Exit) {
+        let m = &mech.model;
+        let delta_vth_at = |years: f64| {
+            let stress = input.stress_at(years);
+            let traps = |a: f64, duty_exp: f64, time_exp: f64, ea: f64, gamma: f64| {
+                let lambda = stress.duty().value();
+                let t = stress.time_seconds();
+                if lambda == 0.0 || t == 0.0 {
+                    return 0.0;
+                }
+                let arrhenius = (ea / K_BOLTZMANN_EV
+                    * (1.0 / Stress::NOMINAL_TEMPERATURE_K - 1.0 / stress.temperature_k()))
+                .exp();
+                let field = (stress.vdd() / Stress::NOMINAL_VDD).powf(gamma);
+                a * lambda.powf(duty_exp) * t.powf(time_exp) * arrhenius * field
+            };
+            crate::Q_ELECTRON / m.cox
+                * (traps(m.a_it, m.duty_exp_it, m.time_exp_it, m.ea_it, m.gamma_it)
+                    + traps(m.a_ot, m.duty_exp_ot, m.time_exp_ot, m.ea_ot, m.gamma_ot))
+        };
+        if input.duty <= 0.0 {
+            return (None, Exit::BeyondHorizon);
+        }
+        let crit = vth_budget(mech.vth_crit, input);
+        if delta_vth_at(FAILURE_HORIZON_YEARS) < crit {
+            return (None, Exit::BeyondHorizon);
+        }
+        let (mut lo, mut hi) = (1e-6f64.ln(), FAILURE_HORIZON_YEARS.ln());
+        if delta_vth_at(lo.exp()) >= crit {
+            return (Some(Weibull::from_mttf(lo.exp(), mech.weibull_shape)), Exit::CrossedAtStart);
+        }
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            if delta_vth_at(mid.exp()) < crit {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (Some(Weibull::from_mttf(hi.exp(), mech.weibull_shape)), Exit::Bisected)
+    }
+
+    #[test]
+    fn hoisted_bti_inversion_is_bit_identical_to_the_per_step_one() {
+        let bits = |w: Option<Weibull>| w.map(|w| (w.scale_years.to_bits(), w.shape.to_bits()));
+        let mut exits = Vec::new();
+        for mech in [BtiMechanism::nbti(), BtiMechanism::pbti()] {
+            for duty in [1e-3, 0.3, 1.0] {
+                for temperature in [398.15, 428.15] {
+                    for vdd in [1.1, 1.2, 1.3] {
+                        for offset in [-0.06, 0.0, 0.03, 0.06, 0.2] {
+                            let input = AgingInput::new(duty, 10.0, temperature, vdd, 1.0e9)
+                                .with_vth0_offset(offset);
+                            if offset == 0.2 {
+                                assert_eq!(vth_budget(mech.vth_crit, &input), 1e-3, "1 mV floor");
+                            }
+                            let (expected, exit) = reference_failure_distribution(&mech, &input);
+                            exits.push(exit);
+                            assert_eq!(
+                                bits(mech.failure_distribution(&input)),
+                                bits(expected),
+                                "{} at {input:?}",
+                                mech.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        for exit in [Exit::BeyondHorizon, Exit::CrossedAtStart, Exit::Bisected] {
+            assert!(exits.contains(&exit), "the grid never reaches {exit:?}");
+        }
     }
 
     #[test]
@@ -786,7 +879,7 @@ mod tests {
         assert!(mttf(&nbti, &fast) > mttf(&nbti, &base));
         // The crossing honors the reduced budget exactly.
         let t = mttf(&nbti, &slow);
-        assert!(nbti.delta_vth_at(&slow, t) >= (nbti.vth_crit - 0.05) * (1.0 - 1e-9));
+        assert!(nbti.model.delta_vth(&slow.stress_at(t)) >= (nbti.vth_crit - 0.05) * (1.0 - 1e-9));
         // HCI inverts its power law at the same reduced budget.
         let hci = HciModel::standard();
         assert!(mttf(&hci, &slow) < mttf(&hci, &base));

@@ -97,55 +97,101 @@ impl BtiModel {
     /// Generated interface-trap density `ΔN_IT` in cm⁻² under `stress`.
     #[must_use]
     pub fn interface_traps(&self, stress: &Stress) -> f64 {
-        self.traps(stress, self.a_it, self.duty_exp_it, self.time_exp_it, self.ea_it, self.gamma_it)
+        self.degradation(stress).interface_traps
     }
 
     /// Generated oxide-trap density `ΔN_OT` in cm⁻² under `stress`.
     #[must_use]
     pub fn oxide_traps(&self, stress: &Stress) -> f64 {
-        self.traps(stress, self.a_ot, self.duty_exp_ot, self.time_exp_ot, self.ea_ot, self.gamma_ot)
-    }
-
-    fn traps(
-        &self,
-        stress: &Stress,
-        a: f64,
-        duty_exp: f64,
-        time_exp: f64,
-        ea: f64,
-        gamma: f64,
-    ) -> f64 {
-        let lambda = stress.duty().value();
-        let t = stress.time_seconds();
-        if lambda == 0.0 || t == 0.0 {
-            return 0.0;
-        }
-        let arrhenius = (ea / K_BOLTZMANN_EV
-            * (1.0 / Stress::NOMINAL_TEMPERATURE_K - 1.0 / stress.temperature_k()))
-        .exp();
-        let field = (stress.vdd() / Stress::NOMINAL_VDD).powf(gamma);
-        a * lambda.powf(duty_exp) * t.powf(time_exp) * arrhenius * field
+        self.degradation(stress).oxide_traps
     }
 
     /// Threshold-voltage shift `ΔVth` in volts under `stress` (Eq. 2).
     #[must_use]
     pub fn delta_vth(&self, stress: &Stress) -> f64 {
-        Q_ELECTRON / self.cox * (self.interface_traps(stress) + self.oxide_traps(stress))
+        self.degradation(stress).delta_vth
     }
 
     /// Mobility factor μ/μ0 under `stress` (Eq. 3).
     #[must_use]
     pub fn mobility_factor(&self, stress: &Stress) -> f64 {
-        1.0 / (1.0 + self.mobility_alpha * self.interface_traps(stress))
+        self.degradation(stress).mobility_factor
     }
 
     /// Full electrical degradation of a device under `stress`.
     #[must_use]
     pub fn degradation(&self, stress: &Stress) -> Degradation {
-        let interface_traps = self.interface_traps(stress);
-        let oxide_traps = self.oxide_traps(stress);
+        self.kinetics(stress).degradation(stress.time_seconds())
+    }
+
+    /// The time-independent part of the model at `stress`'s duty cycle,
+    /// temperature and supply (its stress time is ignored).
+    pub(crate) fn kinetics(&self, stress: &Stress) -> TrapKinetics {
+        let term = |a: f64, duty_exp: f64, time_exp: f64, ea: f64, gamma: f64| TrapTerm {
+            duty_scaled: a * stress.duty().value().powf(duty_exp),
+            time_exp,
+            arrhenius: (ea / K_BOLTZMANN_EV
+                * (1.0 / Stress::NOMINAL_TEMPERATURE_K - 1.0 / stress.temperature_k()))
+            .exp(),
+            field: (stress.vdd() / Stress::NOMINAL_VDD).powf(gamma),
+        };
+        TrapKinetics {
+            it: term(self.a_it, self.duty_exp_it, self.time_exp_it, self.ea_it, self.gamma_it),
+            ot: term(self.a_ot, self.duty_exp_ot, self.time_exp_ot, self.ea_ot, self.gamma_ot),
+            stressed: stress.duty().value() != 0.0,
+            q_over_cox: Q_ELECTRON / self.cox,
+            mobility_alpha: self.mobility_alpha,
+        }
+    }
+}
+
+/// One trap power law with its duty, Arrhenius and field factors already
+/// evaluated.
+#[derive(Debug)]
+struct TrapTerm {
+    /// `a · λ^duty_exp`.
+    duty_scaled: f64,
+    time_exp: f64,
+    arrhenius: f64,
+    field: f64,
+}
+
+impl TrapTerm {
+    /// `a · λ^duty_exp · t^time_exp · AF_T · AF_V`, multiplied left to
+    /// right exactly as the unhoisted formula was, so hoisting the
+    /// time-independent factors does not change a single bit.
+    fn at(&self, t_seconds: f64) -> f64 {
+        self.duty_scaled * t_seconds.powf(self.time_exp) * self.arrhenius * self.field
+    }
+}
+
+/// The model's Eqs. (2) and (3) at one duty cycle, temperature and supply,
+/// as a function of stress time only.
+///
+/// Every time-independent factor is evaluated once, so inverting `ΔVth(t)`
+/// (the BTI failure-time bisection) costs one `powf` per trap term per
+/// step. [`BtiModel`]'s public accessors go through the same kernel, which
+/// keeps the equations written once.
+#[derive(Debug)]
+pub(crate) struct TrapKinetics {
+    it: TrapTerm,
+    ot: TrapTerm,
+    /// λ > 0: an unstressed device generates no traps at any time.
+    stressed: bool,
+    q_over_cox: f64,
+    mobility_alpha: f64,
+}
+
+impl TrapKinetics {
+    /// The degradation after `t_seconds` of stress.
+    pub(crate) fn degradation(&self, t_seconds: f64) -> Degradation {
+        let (interface_traps, oxide_traps) = if self.stressed && t_seconds != 0.0 {
+            (self.it.at(t_seconds), self.ot.at(t_seconds))
+        } else {
+            (0.0, 0.0)
+        };
         Degradation {
-            delta_vth: Q_ELECTRON / self.cox * (interface_traps + oxide_traps),
+            delta_vth: self.q_over_cox * (interface_traps + oxide_traps),
             mobility_factor: 1.0 / (1.0 + self.mobility_alpha * interface_traps),
             interface_traps,
             oxide_traps,

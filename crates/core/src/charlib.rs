@@ -354,12 +354,11 @@ impl Characterizer {
     /// without one, a zero-variance plan reproduces the deterministic
     /// static bound in every sample.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the lifetime config or the derived sampling plan fails
-    /// validation (the same contract as [`dataflow::static_lifetime_bound`]
-    /// and [`dataflow::mc_design_mttf`]).
-    #[must_use]
+    /// Returns [`CharError::InvalidLifetimePlan`], naming every failed
+    /// check, when the derived sampling plan (e.g. zero samples) or the
+    /// lifetime config fails validation.
     pub fn mc_lifetime(
         &self,
         netlist: &Netlist,
@@ -367,7 +366,7 @@ impl Characterizer {
         lifetime: &LifetimeConfig,
         df: &DataflowConfig,
         samples: usize,
-    ) -> McLifetimeOutcome {
+    ) -> Result<McLifetimeOutcome, CharError> {
         let sampling = match &self.variation {
             Some((model, die_seed)) => McSampling {
                 samples,
@@ -377,8 +376,11 @@ impl Characterizer {
             },
             None => McSampling::zero_variance(samples, 0),
         };
-        let problems = sampling.validation_errors();
-        assert!(problems.is_empty(), "invalid MC sampling plan: {problems:?}");
+        let mut problems = sampling.validation_errors();
+        problems.extend(lifetime.validation_errors());
+        if !problems.is_empty() {
+            return Err(CharError::InvalidLifetimePlan { problems });
+        }
         let report = dataflow::static_lifetime_bound(netlist, library, lifetime, df);
         if let Some(ctx) = &self.ctx {
             ctx.add_tasks("mc_lifetime", samples as u64);
@@ -394,7 +396,7 @@ impl Characterizer {
             static_bound_years: dataflow::clamp_boundary_bound(&report, &sampling),
             sampling,
         };
-        McLifetimeOutcome { report, distribution }
+        Ok(McLifetimeOutcome { report, distribution })
     }
 
     /// The N×N grid of per-scenario libraries merged into one *complete*
@@ -1318,6 +1320,7 @@ mod tests {
                 .unwrap()
                 .with_variation(ptm::VariationModel::nominal_45nm(), 11)
                 .mc_lifetime(&nl, &library, &lifetime, &df, 24)
+                .unwrap()
         };
         let one = run(1);
         for workers in [2, 8] {
@@ -1344,7 +1347,8 @@ mod tests {
         // deterministic static bound, bit for bit.
         let zero = Characterizer::new(cells(), tiny_config())
             .unwrap()
-            .mc_lifetime(&nl, &library, &lifetime, &df, 5);
+            .mc_lifetime(&nl, &library, &lifetime, &df, 5)
+            .unwrap();
         for s in &zero.distribution.samples {
             assert_eq!(s.to_bits(), zero.report.design_mttf_lo_years.to_bits());
         }
@@ -1365,13 +1369,15 @@ mod tests {
         .unwrap()
         .with_variation(ptm::VariationModel::nominal_45nm(), 3);
         let library = chars.library(&AgingScenario::fresh()).unwrap();
-        let out = chars.mc_lifetime(
-            &inv_chain(),
-            &library,
-            &LifetimeConfig::default(),
-            &DataflowConfig::default(),
-            6,
-        );
+        let out = chars
+            .mc_lifetime(
+                &inv_chain(),
+                &library,
+                &LifetimeConfig::default(),
+                &DataflowConfig::default(),
+                6,
+            )
+            .unwrap();
         assert_eq!(out.distribution.samples.len(), 6);
         let report = ctx.report();
         let stage = report.stages.iter().find(|s| s.name == "mc_lifetime").unwrap();

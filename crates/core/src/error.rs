@@ -42,6 +42,12 @@ pub enum CharError {
         /// The unresolved pin name.
         pin: String,
     },
+    /// A Monte-Carlo lifetime run was asked for with an unsound sampling
+    /// plan or lifetime configuration.
+    InvalidLifetimePlan {
+        /// One entry per failed check, sampling-plan checks first.
+        problems: Vec<String>,
+    },
     /// A library-cache I/O failure.
     Io {
         /// The path involved.
@@ -63,6 +69,9 @@ impl fmt::Display for CharError {
             CharError::EmptyCellSet => write!(f, "empty cell set: nothing to characterize"),
             CharError::MissingPin { cell, pin } => {
                 write!(f, "cell '{cell}' has no transistor node for pin '{pin}'")
+            }
+            CharError::InvalidLifetimePlan { problems } => {
+                write!(f, "invalid Monte-Carlo lifetime plan: {}", problems.join("; "))
             }
             CharError::Io { path, message } => write!(f, "{path}: {message}"),
         }

@@ -206,13 +206,8 @@ impl LifetimeReport {
     /// series system).
     #[must_use]
     pub fn design_reliability_lo(&self, t_years: f64) -> f64 {
-        let hazard: f64 = self
-            .worst_pools
-            .iter()
-            .flat_map(|(_, pool)| pool)
-            .map(|(w, count)| *count as f64 * w.cumulative_hazard(t_years))
-            .sum();
-        (-hazard).exp()
+        let pool = self.worst_pools.iter().flat_map(|(_, pool)| pool);
+        (-SeriesHazard::fold(pool).at(t_years)).exp()
     }
 
     /// Per-mechanism design MTTF lower bound: the series MTTF if only that
@@ -222,7 +217,7 @@ impl LifetimeReport {
     pub fn mechanism_design_mttf(&self) -> Vec<(&'static str, f64)> {
         self.worst_pools
             .iter()
-            .map(|(name, pool)| (*name, series_mttf_lower_bound_pooled(pool)))
+            .map(|(name, pool)| (*name, SeriesHazard::fold(pool).mttf_lower_bound()))
             .collect()
     }
 }
@@ -235,35 +230,96 @@ impl LifetimeReport {
 /// mass. An empty pool cannot fail: the bound is infinite.
 #[must_use]
 pub fn series_mttf_lower_bound(components: &[Weibull]) -> f64 {
-    let mut groups: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-    for w in components {
-        *groups.entry((w.scale_years.to_bits(), w.shape.to_bits())).or_insert(0) += 1;
-    }
-    let pool: Vec<(Weibull, u64)> = groups
-        .into_iter()
-        .map(|((scale, shape), count)| {
-            (Weibull::new(f64::from_bits(scale), f64::from_bits(shape)), count)
-        })
-        .collect();
-    series_mttf_lower_bound_pooled(&pool)
+    pool_and_fold(1, components.iter().map(|w| (0, *w))).1.mttf_lower_bound()
 }
 
-pub(crate) fn series_mttf_lower_bound_pooled(pool: &[(Weibull, u64)]) -> f64 {
-    if pool.is_empty() {
-        return f64::INFINITY;
+/// Pools Weibull components per suite slot by exact bit pattern (slot
+/// order, then `(scale, shape)` bits) and folds the flattened pools into
+/// their series hazard.
+///
+/// Every series composition of many components — the static report, each
+/// sampled die, the clamp-boundary bound — goes through here, so equal
+/// components always meet the hazard sum in the same floating-point
+/// order: a die sampled at zero offset reproduces the static bound bit for
+/// bit.
+pub(crate) fn pool_and_fold(
+    slots: usize,
+    components: impl IntoIterator<Item = (usize, Weibull)>,
+) -> (Vec<Vec<(Weibull, u64)>>, SeriesHazard) {
+    let mut groups: Vec<BTreeMap<(u64, u64), u64>> = vec![BTreeMap::new(); slots];
+    for (slot, w) in components {
+        *groups[slot].entry((w.scale_years.to_bits(), w.shape.to_bits())).or_insert(0) += 1;
     }
-    let ratio = (T_MAX_YEARS / T_MIN_YEARS).ln();
-    let t_at = |k: usize| T_MIN_YEARS * (ratio * k as f64 / T_GRID_POINTS as f64).exp();
-    let mut mttf = 0.0;
-    let mut prev = t_at(0);
-    for k in 1..=T_GRID_POINTS {
-        let t = t_at(k);
-        let hazard: f64 =
-            pool.iter().map(|(w, count)| *count as f64 * w.cumulative_hazard(t)).sum();
-        mttf += (t - prev) * (-hazard).exp();
-        prev = t;
+    let pools: Vec<Vec<(Weibull, u64)>> = groups
+        .into_iter()
+        .map(|group| {
+            group
+                .into_iter()
+                .map(|((scale, shape), count)| {
+                    (Weibull::new(f64::from_bits(scale), f64::from_bits(shape)), count)
+                })
+                .collect()
+        })
+        .collect();
+    let hazard = SeriesHazard::fold(pools.iter().flatten());
+    (pools, hazard)
+}
+
+/// The cumulative hazard `H(t) = Σ_i n_i·(t/η_i)^β_i` of a series system
+/// of pooled Weibulls, folded by shape.
+///
+/// Components that share a shape β share their time dependence:
+/// `Σ_i n_i·(t/η_i)^β = C_β·(t/η_ref)^β` with `C_β = Σ_i n_i·(η_ref/η_i)^β`.
+/// Every mechanism has a single shape, so a design pool of thousands of
+/// distinct Weibulls folds, once, into a few terms, and each time point
+/// costs one `powf` per shape instead of one per component. The reference
+/// scale `η_ref` is the shape's first component, which keeps both factors
+/// near the magnitudes of the unfolded terms (folding against `η = 1`
+/// under- or overflows `η^−β` at large shapes). The identity is exact, so
+/// folding changes results by floating-point rounding only.
+#[derive(Debug)]
+pub(crate) struct SeriesHazard {
+    /// `(β, η_ref, C_β)` per distinct shape, in first-appearance order.
+    terms: Vec<(f64, f64, f64)>,
+}
+
+impl SeriesHazard {
+    fn fold<'a>(pool: impl IntoIterator<Item = &'a (Weibull, u64)>) -> Self {
+        let mut terms: Vec<(f64, f64, f64)> = Vec::new();
+        for (w, count) in pool {
+            let count = *count as f64;
+            match terms.iter_mut().find(|(shape, _, _)| *shape == w.shape) {
+                Some((shape, scale, c)) => *c += count * (*scale / w.scale_years).powf(*shape),
+                None => terms.push((w.shape, w.scale_years, count)),
+            }
+        }
+        SeriesHazard { terms }
     }
-    mttf
+
+    /// `H(t_years)`; 0 at and before `t = 0`.
+    fn at(&self, t_years: f64) -> f64 {
+        if t_years <= 0.0 {
+            return 0.0;
+        }
+        self.terms.iter().map(|&(shape, scale, c)| c * (t_years / scale).powf(shape)).sum()
+    }
+
+    /// The series MTTF lower bound (see [`series_mttf_lower_bound`]).
+    pub(crate) fn mttf_lower_bound(&self) -> f64 {
+        if self.terms.is_empty() {
+            return f64::INFINITY;
+        }
+        let ratio = (T_MAX_YEARS / T_MIN_YEARS).ln();
+        let t_at = |k: usize| T_MIN_YEARS * (ratio * k as f64 / T_GRID_POINTS as f64).exp();
+        let mut mttf = 0.0;
+        let mut prev = t_at(0);
+        for k in 1..=T_GRID_POINTS {
+            let t = t_at(k);
+            mttf += (t - prev) * (-self.at(t)).exp();
+            prev = t;
+        }
+        mttf
+    }
 }
 
 /// The provable switching-activity upper bound of a net with signal
@@ -402,8 +458,6 @@ pub fn static_lifetime_bound(
 
     let mechanisms = config.suite.mechanisms();
     let mut instances = Vec::with_capacity(netlist.instances().len());
-    let mut pools: Vec<BTreeMap<(u64, u64), u64>> =
-        mechanisms.iter().map(|_| BTreeMap::new()).collect();
     let mut best_all: Vec<Weibull> = Vec::new();
     let mut hazard_totals = vec![0.0f64; mechanisms.len()];
     let mut corner_cache: BTreeMap<[u64; 5], CornerEval> = BTreeMap::new();
@@ -438,11 +492,9 @@ pub fn static_lifetime_bound(
         let corner = corner_cache
             .entry(signature)
             .or_insert_with(|| eval_corner(config, lambda, activity_hi));
-        for (slot, m) in corner.mechanisms.iter().enumerate() {
-            if let Some(w) = m.worst {
-                *pools[slot].entry((w.scale_years.to_bits(), w.shape.to_bits())).or_insert(0) += 1;
-                hazard_totals[slot] += corner.hazards[slot];
-            }
+        // A slot that cannot fail contributes a hazard of exactly 0.
+        for (total, hazard) in hazard_totals.iter_mut().zip(&corner.hazards) {
+            *total += hazard;
         }
         best_all.extend_from_slice(&corner.best);
         instances.push(InstanceLifetime {
@@ -457,21 +509,14 @@ pub fn static_lifetime_bound(
         });
     }
 
-    let worst_pools: Vec<(&'static str, Vec<(Weibull, u64)>)> = mechanisms
-        .iter()
-        .zip(pools)
-        .map(|((_, mech), groups)| {
-            let pool = groups
-                .into_iter()
-                .map(|((scale, shape), count)| {
-                    (Weibull::new(f64::from_bits(scale), f64::from_bits(shape)), count)
-                })
-                .collect();
-            (mech.name(), pool)
-        })
-        .collect();
-    let design_pool: Vec<(Weibull, u64)> =
-        worst_pools.iter().flat_map(|(_, pool)| pool.iter().copied()).collect();
+    let (pools, design_hazard) = pool_and_fold(
+        mechanisms.len(),
+        instances.iter().flat_map(|inst| {
+            inst.mechanisms.iter().enumerate().filter_map(|(slot, m)| Some((slot, m.worst?)))
+        }),
+    );
+    let worst_pools: Vec<(&'static str, Vec<(Weibull, u64)>)> =
+        mechanisms.iter().map(|(_, mech)| mech.name()).zip(pools).collect();
 
     let total_hazard: f64 = hazard_totals.iter().sum();
     let hazard_shares = mechanisms
@@ -489,7 +534,7 @@ pub fn static_lifetime_bound(
 
     LifetimeReport {
         years_until_budget: years_until_budget(&instances, config),
-        design_mttf_lo_years: series_mttf_lower_bound_pooled(&design_pool),
+        design_mttf_lo_years: design_hazard.mttf_lower_bound(),
         design_mttf_best_years: series_mttf_lower_bound(&best_all),
         instances,
         hazard_shares,
@@ -602,6 +647,84 @@ mod tests {
         assert!(two <= 50.0 && two > 47.0, "series of two: {two}");
         // Nothing in the pool → nothing can fail.
         assert_eq!(series_mttf_lower_bound(&[]), f64::INFINITY);
+    }
+
+    /// The integrator the folded hazard replaced: every pooled Weibull's
+    /// `(t/η)^β` at every grid point.
+    fn per_entry_mttf(pool: &[(Weibull, u64)]) -> f64 {
+        let ratio = (T_MAX_YEARS / T_MIN_YEARS).ln();
+        let t_at = |k: usize| T_MIN_YEARS * (ratio * k as f64 / T_GRID_POINTS as f64).exp();
+        let mut mttf = 0.0;
+        let mut prev = t_at(0);
+        for k in 1..=T_GRID_POINTS {
+            let t = t_at(k);
+            mttf += (t - prev) * (-per_entry_hazard(pool, t)).exp();
+            prev = t;
+        }
+        mttf
+    }
+
+    fn per_entry_hazard<'a>(pool: impl IntoIterator<Item = &'a (Weibull, u64)>, t: f64) -> f64 {
+        pool.into_iter().map(|(w, count)| *count as f64 * w.cumulative_hazard(t)).sum()
+    }
+
+    fn assert_close(folded: f64, reference: f64, what: &str) {
+        let rel = ((folded - reference) / reference).abs();
+        assert!(rel <= 1e-12, "{what}: folded {folded} vs per-entry {reference} (rel {rel:.2e})");
+    }
+
+    #[test]
+    fn folded_hazard_matches_the_per_entry_sum() {
+        // Wear-out (β = 3), EM (2) and TDDB (1.2) shapes, interleaved and
+        // repeated so the fold has to regroup them.
+        let pool = [
+            (Weibull::new(400.0, 3.0), 7),
+            (Weibull::new(2.0e3, 1.2), 3),
+            (Weibull::new(900.0, 2.0), 11),
+            (Weibull::new(650.0, 3.0), 2),
+            (Weibull::new(5.0e4, 1.2), 40),
+            (Weibull::new(1.5e3, 2.0), 5),
+            (Weibull::new(120.0, 3.0), 1),
+        ];
+        let folded = SeriesHazard::fold(&pool);
+        assert_eq!(folded.terms.len(), 3, "one term per distinct shape");
+        assert_close(folded.mttf_lower_bound(), per_entry_mttf(&pool), "mixed-shape MTTF");
+        for t in [1e-3, 0.5, 10.0, 100.0, 1e4] {
+            assert_close(folded.at(t), per_entry_hazard(&pool, t), &format!("H({t})"));
+        }
+
+        // A sampled die of an inverter chain: the pool the Monte-Carlo
+        // path folds, against the per-entry sum over the same pool.
+        let report = static_lifetime_bound(
+            &inv_chain(8),
+            &lib(),
+            &LifetimeConfig::default(),
+            &DataflowConfig::default(),
+        );
+        let sampling = crate::McSampling::nominal_45nm(4, 0xfeed);
+        for die in 0..4 {
+            let components = report.instances.iter().enumerate().flat_map(|(index, inst)| {
+                crate::mc::instance_components(&report, inst, sampling.instance_offset(die, index))
+            });
+            let (pools, _) = pool_and_fold(report.worst_pools.len(), components);
+            assert_close(
+                crate::sample_design_mttf(&report, &sampling, die),
+                per_entry_mttf(&pools.concat()),
+                &format!("die {die}"),
+            );
+        }
+
+        // The report's reliability curve and bound use the same fold.
+        let design_pool: Vec<(Weibull, u64)> =
+            report.worst_pools.iter().flat_map(|(_, pool)| pool.iter().copied()).collect();
+        assert_close(report.design_mttf_lo_years, per_entry_mttf(&design_pool), "design bound");
+        for t in [1.0, 10.0, 50.0, 200.0] {
+            assert_close(
+                report.design_reliability_lo(t),
+                (-per_entry_hazard(&design_pool, t)).exp(),
+                &format!("R({t})"),
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! path bit-for-bit: every sample equals
 //! [`LifetimeReport::design_mttf_lo_years`].
 
-use crate::lifetime::{series_mttf_lower_bound_pooled, stress_interval};
+use crate::lifetime::{pool_and_fold, stress_interval};
 use crate::{InstanceLifetime, LifetimeReport};
 use bti::{AgingInput, Weibull};
 use std::collections::BTreeMap;
@@ -102,21 +102,22 @@ impl McSampling {
 }
 
 /// The per-mechanism worst-corner Weibulls of one instance on a die whose
-/// fresh Vth is offset by `vth0_offset`, in suite-slot order (`None` =
-/// cannot fail at the worst corner). Rebuilt exactly like the static
-/// engine's corner evaluation, so a zero offset reproduces the report's
-/// pooled components bit-for-bit.
-fn instance_components(
+/// fresh Vth is offset by `vth0_offset`, each tagged with its suite slot
+/// (mechanisms that cannot fail at the worst corner are left out). Rebuilt
+/// exactly like the static engine's corner evaluation, so a zero offset
+/// reproduces the report's pooled components bit-for-bit.
+pub(crate) fn instance_components(
     report: &LifetimeReport,
     inst: &InstanceLifetime,
     vth0_offset: f64,
-) -> Vec<Option<Weibull>> {
+) -> Vec<(usize, Weibull)> {
     let config = &report.config;
     config
         .suite
         .mechanisms()
         .iter()
-        .map(|(source, mech)| {
+        .enumerate()
+        .filter_map(|(slot, (source, mech))| {
             let (_, stress_hi) = stress_interval(*source, inst.lambda, inst.activity_hi);
             let worst_input = AgingInput::new(
                 stress_hi,
@@ -126,7 +127,7 @@ fn instance_components(
                 config.frequency_hz,
             )
             .with_vth0_offset(vth0_offset);
-            mech.failure_distribution(&worst_input)
+            Some((slot, mech.failure_distribution(&worst_input)?))
         })
         .collect()
 }
@@ -139,27 +140,10 @@ fn instance_components(
 /// Monte-Carlo driver fans across its worker pool.
 #[must_use]
 pub fn sample_design_mttf(report: &LifetimeReport, sampling: &McSampling, sample: usize) -> f64 {
-    let slots = report.config.suite.mechanisms().len();
-    let mut pools: Vec<BTreeMap<(u64, u64), u64>> = vec![BTreeMap::new(); slots];
-    for (index, inst) in report.instances.iter().enumerate() {
-        let offset = sampling.instance_offset(sample, index);
-        for (slot, w) in instance_components(report, inst, offset).into_iter().enumerate() {
-            if let Some(w) = w {
-                *pools[slot].entry((w.scale_years.to_bits(), w.shape.to_bits())).or_insert(0) += 1;
-            }
-        }
-    }
-    // Flatten in suite order, mirroring the static engine's design pool so
-    // zero-offset samples sum in the identical floating-point order.
-    let design_pool: Vec<(Weibull, u64)> = pools
-        .into_iter()
-        .flat_map(|groups| {
-            groups.into_iter().map(|((scale, shape), count)| {
-                (Weibull::new(f64::from_bits(scale), f64::from_bits(shape)), count)
-            })
-        })
-        .collect();
-    series_mttf_lower_bound_pooled(&design_pool)
+    let components = report.instances.iter().enumerate().flat_map(|(index, inst)| {
+        instance_components(report, inst, sampling.instance_offset(sample, index))
+    });
+    pool_and_fold(report.config.suite.mechanisms().len(), components).1.mttf_lower_bound()
 }
 
 /// The variation-aware static lower bound: every instance evaluated at the
@@ -168,25 +152,19 @@ pub fn sample_design_mttf(report: &LifetimeReport, sampling: &McSampling, sample
 /// [`mc_design_mttf`] validates its samples against it.
 #[must_use]
 pub fn clamp_boundary_bound(report: &LifetimeReport, sampling: &McSampling) -> f64 {
-    let slots = report.config.suite.mechanisms().len();
-    let mut pools: Vec<BTreeMap<(u64, u64), u64>> = vec![BTreeMap::new(); slots];
+    // One offset for every instance: its Weibulls depend only on its worst
+    // (λp, λn, activity) corner, which instances share heavily.
+    let offset = sampling.max_vth_offset();
+    let mut corners: BTreeMap<[u64; 3], Vec<(usize, Weibull)>> = BTreeMap::new();
+    let mut components = Vec::new();
     for inst in &report.instances {
-        let comps = instance_components(report, inst, sampling.max_vth_offset());
-        for (slot, w) in comps.into_iter().enumerate() {
-            if let Some(w) = w {
-                *pools[slot].entry((w.scale_years.to_bits(), w.shape.to_bits())).or_insert(0) += 1;
-            }
-        }
+        let corner =
+            [inst.lambda.pmos.hi(), inst.lambda.nmos.hi(), inst.activity_hi].map(f64::to_bits);
+        let weibulls =
+            corners.entry(corner).or_insert_with(|| instance_components(report, inst, offset));
+        components.extend_from_slice(weibulls);
     }
-    let design_pool: Vec<(Weibull, u64)> = pools
-        .into_iter()
-        .flat_map(|groups| {
-            groups.into_iter().map(|((scale, shape), count)| {
-                (Weibull::new(f64::from_bits(scale), f64::from_bits(shape)), count)
-            })
-        })
-        .collect();
-    series_mttf_lower_bound_pooled(&design_pool)
+    pool_and_fold(report.config.suite.mechanisms().len(), components).1.mttf_lower_bound()
 }
 
 /// An empirical design-MTTF distribution over sampled dies.

@@ -291,13 +291,17 @@ impl Parser<'_> {
                 }
                 _ => {
                     // Re-sync on UTF-8 boundaries: step back and take the
-                    // full character from the source text.
+                    // full character from the source text. A character is
+                    // at most 4 bytes, so validating only that window keeps
+                    // string parsing linear in the string's length.
                     self.pos -= 1;
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.fail("invalid UTF-8 in string"))?;
-                    let Some(c) = text.chars().next() else {
-                        return Err(self.fail("unterminated string"));
+                    let window = &self.bytes[self.pos..self.bytes.len().min(self.pos + 4)];
+                    let valid = match std::str::from_utf8(window) {
+                        Ok(text) => text,
+                        Err(e) => std::str::from_utf8(&window[..e.valid_up_to()]).unwrap_or(""),
+                    };
+                    let Some(c) = valid.chars().next() else {
+                        return Err(self.fail("invalid UTF-8 in string"));
                     };
                     out.push(c);
                     self.pos += c.len_utf8();

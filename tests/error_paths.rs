@@ -103,6 +103,50 @@ fn for_named_cells_rejects_unknown_names() {
     assert!(lib.cell("INV_X1").is_some());
 }
 
+#[test]
+fn mc_lifetime_rejects_an_invalid_plan_without_panicking() {
+    use reliaware::dataflow::{DataflowConfig, LifetimeConfig};
+    let lib = fixture_library();
+    let mut nl = Netlist::new("inv");
+    let a = nl.add_port("a", PortDir::Input);
+    let y = nl.add_port("y", PortDir::Output);
+    nl.add_instance("u0", "INV_X1", &[("A", a), ("Y", y)]);
+    let chars = Characterizer::new(CellSet::minimal(), CharConfig::fast())
+        .expect("valid config")
+        .with_variation(reliaware::ptm::VariationModel::nominal_45nm(), 1);
+    let (lifetime, df) = (LifetimeConfig::default(), DataflowConfig::default());
+
+    let err = chars.mc_lifetime(&nl, &lib, &lifetime, &df, 0).expect_err("zero dies");
+    assert_eq!(
+        err,
+        CharError::InvalidLifetimePlan { problems: vec!["sample count must be at least 1".into()] }
+    );
+    let flow_err = FlowError::from(err);
+    assert!(
+        flow_err.to_string().starts_with("[characterize] invalid Monte-Carlo lifetime plan: "),
+        "{flow_err}"
+    );
+
+    // Every failed check is named, the sampling plan's first.
+    let broken = LifetimeConfig {
+        years: -1.0,
+        temperature_range: (428.15, 398.15),
+        ..LifetimeConfig::default()
+    };
+    match chars.mc_lifetime(&nl, &lib, &broken, &df, 0) {
+        Err(CharError::InvalidLifetimePlan { problems }) => {
+            assert_eq!(problems.len(), 3, "{problems:?}");
+            assert!(problems[0].contains("sample count"), "{problems:?}");
+            assert!(problems.iter().any(|p| p.contains("temperature range")), "{problems:?}");
+            assert!(problems.iter().any(|p| p.contains("lifetime horizon")), "{problems:?}");
+        }
+        other => panic!("expected InvalidLifetimePlan, got {other:?}"),
+    }
+
+    let sound = chars.mc_lifetime(&nl, &lib, &lifetime, &df, 2).expect("sound plan");
+    assert_eq!(sound.distribution.samples.len(), 2);
+}
+
 proptest! {
     /// Whatever the variant and whatever the payload, the `Display`
     /// rendering of a [`FlowError`] leads with the bracketed stage name —
