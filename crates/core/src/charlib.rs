@@ -12,7 +12,7 @@ use liberty::{
 };
 use netlist::Netlist;
 use ptm::{MosModel, MosPolarity, VariationModel};
-use spicesim::{TransientConfig, Waveform};
+use spicesim::{EdgeProbe, SweepVariant, TransientConfig, Waveform};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -739,6 +739,18 @@ impl Characterizer {
         pmos: &MosModel,
         temperature_k: f64,
     ) -> Result<TimingArc, CharError> {
+        let key = self.arc_key(def, "comb", input, output, nmos, pmos);
+        let features = self.arc_features(def, "comb", input, output, nmos, pmos, temperature_k);
+        let tables = self.tables_via_cache(key, features, || {
+            self.sweep_tables(def, nmos, pmos, &self.comb_stimulus(def, input, output))
+        })?;
+        Ok(self.arc_from_tables(input, sense, &tables))
+    }
+
+    /// The stimulus of a combinational arc: `input` switches at 0.3 ns with
+    /// the other inputs held at their sensitizing values.
+    fn comb_stimulus<'a>(&self, def: &CellDef, input: &'a str, output: &'a str) -> ArcStimulus<'a> {
+        let vdd = self.config.vdd;
         let side = def.sensitizing_assignment(input, output).unwrap_or_default();
         // Output polarity for a rising input under this sensitization.
         let f = def.function(output);
@@ -753,26 +765,63 @@ impl Characterizer {
             }
         };
         let out_rises_with_input = !f.eval(&assign(false)) && f.eval(&assign(true));
-
-        let key = self.arc_key(def, "comb", input, output, nmos, pmos);
-        let features = self.arc_features(def, "comb", input, output, nmos, pmos, temperature_k);
-        let tables = self.tables_via_cache(key, features, || {
-            self.simulate_comb_tables(def, input, output, &side, out_rises_with_input, nmos, pmos)
-        })?;
-        Ok(self.arc_from_tables(input, sense, &tables))
+        let held: BTreeMap<String, Waveform> = side
+            .iter()
+            .map(|(pin, high)| (pin.clone(), Waveform::Dc(if *high { vdd } else { 0.0 })))
+            .collect();
+        ArcStimulus {
+            input,
+            output,
+            t_edge: 0.3e-9,
+            t_after: 0.1e-9,
+            edges: [true, false].map(|input_rising| EdgeStimulus {
+                held: held.clone(),
+                input_rising,
+                output_rising: input_rising == out_rises_with_input,
+            }),
+        }
     }
 
-    /// Runs the OPC-grid transient sweep for one combinational arc.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_comb_tables(
+    /// The stimulus of the flop's CK→Q arc: D settles to the target value
+    /// well before the clock edge at 1.2 ns; the initial state is the
+    /// complement so Q moves.
+    fn flop_stimulus(&self) -> ArcStimulus<'static> {
+        let vdd = self.config.vdd;
+        let t_edge = 1.2e-9;
+        ArcStimulus {
+            input: "CK",
+            output: "Q",
+            t_edge,
+            t_after: t_edge - 0.1e-9,
+            edges: [true, false].map(|q_rising| EdgeStimulus {
+                held: [(
+                    "D".to_owned(),
+                    Waveform::Ramp {
+                        t_start: 0.2e-9,
+                        duration: 50e-12,
+                        from: if q_rising { 0.0 } else { vdd },
+                        to: if q_rising { vdd } else { 0.0 },
+                    },
+                )]
+                .into_iter()
+                .collect(),
+                input_rising: true,
+                output_rising: q_rising,
+            }),
+        }
+    }
+
+    /// Runs the OPC-grid transient sweep of one arc. The cell is built once
+    /// per (load, edge direction) and every slew is a variant of one
+    /// [`spicesim::Circuit::sweep_edges`] run. An edge that is not measured
+    /// falls back to `(t_stop − t_edge, slowest slew)` and is counted on the
+    /// context's `unmeasured_edges` stage.
+    fn sweep_tables(
         &self,
         def: &CellDef,
-        input: &str,
-        output: &str,
-        side: &[(String, bool)],
-        out_rises_with_input: bool,
         nmos: &MosModel,
         pmos: &MosModel,
+        arc: &ArcStimulus,
     ) -> Result<ArcTables, CharError> {
         let cfg = &self.config;
         let rows = cfg.slews.len();
@@ -781,82 +830,65 @@ impl Characterizer {
         let mut fall_delay = vec![0.0; rows * cols];
         let mut rise_tran = vec![0.0; rows * cols];
         let mut fall_tran = vec![0.0; rows * cols];
-
-        for (si, &slew) in cfg.slews.iter().enumerate() {
+        let (mut steps, mut unmeasured) = (0, 0);
+        let missing = |pin: &str| CharError::MissingPin { cell: def.name.clone(), pin: pin.into() };
+        // The sweep gives each variant its own `t_stop`.
+        let config = TransientConfig::up_to(arc.t_edge).with_max_dv(cfg.max_dv);
+        for edge in &arc.edges {
+            let variants: Vec<SweepVariant> = cfg
+                .slews
+                .iter()
+                .map(|&slew| SweepVariant {
+                    waveform: Waveform::from_slew(arc.t_edge, slew, cfg.vdd, edge.input_rising),
+                    t_stop: arc.t_edge + 4.0 * slew + 3.0e-9,
+                })
+                .collect();
+            let mut stimuli = edge.held.clone();
+            stimuli.insert(arc.input.to_owned(), variants[0].waveform.clone());
             for (li, &load) in cfg.loads.iter().enumerate() {
-                for input_rising in [true, false] {
-                    let output_rising = input_rising == out_rises_with_input;
-                    let m = self.simulate_edge(
-                        def,
-                        input,
-                        output,
-                        side,
-                        input_rising,
-                        output_rising,
-                        slew,
-                        load,
-                        nmos,
-                        pmos,
-                    )?;
+                let loads: BTreeMap<String, f64> =
+                    [(arc.output.to_owned(), load)].into_iter().collect();
+                let inst = self.instantiate_cell(def, nmos, pmos, &stimuli, &loads);
+                let probe = EdgeProbe {
+                    input: inst.node(arc.input).ok_or_else(|| missing(arc.input))?,
+                    input_rising: edge.input_rising,
+                    output: inst.node(arc.output).ok_or_else(|| missing(arc.output))?,
+                    output_rising: edge.output_rising,
+                    t_after: arc.t_after,
+                };
+                let sweep = inst
+                    .circuit
+                    .sweep_edges(&config, probe.input, &variants, &probe)
+                    .map_err(|error| CharError::Simulation { cell: def.name.clone(), error })?;
+                steps += sweep.step_count();
+                for (si, (swept, variant)) in sweep.edges.iter().zip(&variants).enumerate() {
+                    let (delay, slew) = match swept.measurement {
+                        Some(m) => (m.delay, m.output_slew),
+                        None => {
+                            // The edge did not propagate (should not happen
+                            // for a valid sensitization): a conservative
+                            // large delay. The slew axis is non-empty by
+                            // construction-time validation.
+                            unmeasured += 1;
+                            (variant.t_stop - arc.t_edge, cfg.slews[rows - 1])
+                        }
+                    };
                     let idx = si * cols + li;
-                    if output_rising {
-                        rise_delay[idx] = m.0;
-                        rise_tran[idx] = m.1;
+                    if edge.output_rising {
+                        rise_delay[idx] = delay;
+                        rise_tran[idx] = slew;
                     } else {
-                        fall_delay[idx] = m.0;
-                        fall_tran[idx] = m.1;
+                        fall_delay[idx] = delay;
+                        fall_tran[idx] = slew;
                     }
                 }
             }
         }
-        Ok(ArcTables { rows, cols, rise_delay, fall_delay, rise_tran, fall_tran })
-    }
-
-    /// Runs one transient simulation and measures `(delay, output slew)`.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_edge(
-        &self,
-        def: &CellDef,
-        input: &str,
-        output: &str,
-        side: &[(String, bool)],
-        input_rising: bool,
-        output_rising: bool,
-        slew: f64,
-        load: f64,
-        nmos: &MosModel,
-        pmos: &MosModel,
-    ) -> Result<(f64, f64), CharError> {
-        let cfg = &self.config;
-        let t_edge = 0.3e-9;
-        let mut stimuli: BTreeMap<String, Waveform> = BTreeMap::new();
-        stimuli.insert(input.to_owned(), Waveform::from_slew(t_edge, slew, cfg.vdd, input_rising));
-        for (pin, high) in side {
-            stimuli.insert(pin.clone(), Waveform::Dc(if *high { cfg.vdd } else { 0.0 }));
-        }
-        let loads: BTreeMap<String, f64> = [(output.to_owned(), load)].into_iter().collect();
-        let inst = self.instantiate_cell(def, nmos, pmos, &stimuli, &loads);
-        let missing = |pin: &str| CharError::MissingPin { cell: def.name.clone(), pin: pin.into() };
-        let in_node = inst.node(input).ok_or_else(|| missing(input))?;
-        let out_node = inst.node(output).ok_or_else(|| missing(output))?;
-        let t_stop = t_edge + 4.0 * slew + 3.0e-9;
-        // Lean traces: only the measured pins are recorded; the other
-        // (internal) nodes are still integrated but never stored.
-        let config =
-            TransientConfig::up_to(t_stop).with_max_dv(cfg.max_dv).observing(&[in_node, out_node]);
-        let trace = inst.circuit.transient(&config);
         if let Some(ctx) = &self.ctx {
-            ctx.add_tasks("transient", trace.step_count() as u64);
+            ctx.add_tasks("transient", steps as u64);
+            ctx.add_tasks("unmeasured_edges", unmeasured);
         }
-        Ok(match trace.measure_edge(in_node, input_rising, out_node, output_rising, 0.1e-9) {
-            Some(m) => (m.delay, m.output_slew),
-            None => {
-                // The edge did not propagate (should not happen for a valid
-                // sensitization); fall back to a conservative large delay.
-                // The slew axis is non-empty by construction-time validation.
-                (t_stop - t_edge, cfg.slews[cfg.slews.len() - 1])
-            }
-        })
+        Ok(ArcTables { rows, cols, rise_delay, fall_delay, rise_tran, fall_tran })
     }
 
     /// Characterizes the CLK→Q arc of a flip-flop.
@@ -869,75 +901,33 @@ impl Characterizer {
     ) -> Result<TimingArc, CharError> {
         let key = self.arc_key(def, "flop", "CK", "Q", nmos, pmos);
         let features = self.arc_features(def, "flop", "CK", "Q", nmos, pmos, temperature_k);
-        let tables =
-            self.tables_via_cache(key, features, || self.simulate_flop_tables(def, nmos, pmos))?;
+        let tables = self.tables_via_cache(key, features, || {
+            self.sweep_tables(def, nmos, pmos, &self.flop_stimulus())
+        })?;
         Ok(self.arc_from_tables("CK", TimingSense::PositiveUnate, &tables))
     }
+}
 
-    /// Runs the OPC-grid transient sweep for the CLK→Q arc.
-    fn simulate_flop_tables(
-        &self,
-        def: &CellDef,
-        nmos: &MosModel,
-        pmos: &MosModel,
-    ) -> Result<ArcTables, CharError> {
-        let cfg = &self.config;
-        let rows = cfg.slews.len();
-        let cols = cfg.loads.len();
-        let mut rise_delay = vec![0.0; rows * cols];
-        let mut fall_delay = vec![0.0; rows * cols];
-        let mut rise_tran = vec![0.0; rows * cols];
-        let mut fall_tran = vec![0.0; rows * cols];
-        for (si, &slew) in cfg.slews.iter().enumerate() {
-            for (li, &load) in cfg.loads.iter().enumerate() {
-                for q_rising in [true, false] {
-                    // D settles to the target value well before the clock
-                    // edge; the initial state is the complement so Q moves.
-                    let t_clk = 1.2e-9;
-                    let d_wave = Waveform::Ramp {
-                        t_start: 0.2e-9,
-                        duration: 50e-12,
-                        from: if q_rising { 0.0 } else { cfg.vdd },
-                        to: if q_rising { cfg.vdd } else { 0.0 },
-                    };
-                    let mut stimuli: BTreeMap<String, Waveform> = BTreeMap::new();
-                    stimuli.insert("D".into(), d_wave);
-                    stimuli.insert("CK".into(), Waveform::from_slew(t_clk, slew, cfg.vdd, true));
-                    let loads: BTreeMap<String, f64> =
-                        [("Q".to_owned(), load)].into_iter().collect();
-                    let inst = self.instantiate_cell(def, nmos, pmos, &stimuli, &loads);
-                    let missing = |pin: &str| CharError::MissingPin {
-                        cell: def.name.clone(),
-                        pin: pin.into(),
-                    };
-                    let ck = inst.node("CK").ok_or_else(|| missing("CK"))?;
-                    let q = inst.node("Q").ok_or_else(|| missing("Q"))?;
-                    let t_stop = t_clk + 4.0 * slew + 3.0e-9;
-                    let config =
-                        TransientConfig::up_to(t_stop).with_max_dv(cfg.max_dv).observing(&[ck, q]);
-                    let trace = inst.circuit.transient(&config);
-                    if let Some(ctx) = &self.ctx {
-                        ctx.add_tasks("transient", trace.step_count() as u64);
-                    }
-                    let m = trace.measure_edge(ck, true, q, q_rising, t_clk - 0.1e-9).unwrap_or(
-                        spicesim::EdgeMeasurement {
-                            delay: t_stop - t_clk,
-                            output_slew: cfg.slews[cfg.slews.len() - 1],
-                        },
-                    );
-                    let idx = si * cols + li;
-                    if q_rising {
-                        rise_delay[idx] = m.delay;
-                        rise_tran[idx] = m.output_slew;
-                    } else {
-                        fall_delay[idx] = m.delay;
-                        fall_tran[idx] = m.output_slew;
-                    }
-                }
-            }
-        }
-        Ok(ArcTables { rows, cols, rise_delay, fall_delay, rise_tran, fall_tran })
-    }
+/// What one arc's OPC sweep drives and measures.
+struct ArcStimulus<'a> {
+    /// The swept input pin.
+    input: &'a str,
+    /// The measured output pin.
+    output: &'a str,
+    /// Start of the swept input's ramp in seconds.
+    t_edge: f64,
+    /// Crossings before this time are not measured, in seconds.
+    t_after: f64,
+    /// The arc's two edge directions.
+    edges: [EdgeStimulus; 2],
+}
+
+/// One edge direction of an [`ArcStimulus`].
+struct EdgeStimulus {
+    /// Waveforms of the input pins that do not switch with the slew.
+    held: BTreeMap<String, Waveform>,
+    input_rising: bool,
+    output_rising: bool,
 }
 
 /// Drive strength parsed from a cell name (`_X4` → 4.0; default 1.0).
@@ -1287,6 +1277,242 @@ mod tests {
         let warm = with(Some(1)).library(&scenario).unwrap();
         assert_eq!(die1, warm, "warm same-seed rerun must be bit-identical");
         assert_eq!(cache.stats().misses, 0, "warm same-seed rerun must not simulate");
+    }
+
+    /// The six cells of the char-grid benchmark workload: single-stage,
+    /// stacked, complex, multi-stage and flop topologies.
+    const CHAR_GRID_CELLS: [&str; 6] =
+        ["INV_X1", "NAND3_X1", "AOI21_X1", "XOR2_X1", "BUF_X2", "DFF_X1"];
+
+    /// The per-point characterization the sweep replaced, kept as its
+    /// reference: per OPC point one fresh instance, one full `transient`,
+    /// `measure_edge` and the same fallback.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_edge(
+        chars: &Characterizer,
+        def: &CellDef,
+        stimuli: BTreeMap<String, Waveform>,
+        (input, input_rising): (&str, bool),
+        (output, output_rising): (&str, bool),
+        (t_edge, t_after): (f64, f64),
+        slew: f64,
+        load: f64,
+        nmos: &MosModel,
+        pmos: &MosModel,
+    ) -> (f64, f64) {
+        let cfg = &chars.config;
+        let loads: BTreeMap<String, f64> = [(output.to_owned(), load)].into_iter().collect();
+        let inst = chars.instantiate_cell(def, nmos, pmos, &stimuli, &loads);
+        let in_node = inst.node(input).unwrap();
+        let out_node = inst.node(output).unwrap();
+        let t_stop = t_edge + 4.0 * slew + 3.0e-9;
+        let config =
+            TransientConfig::up_to(t_stop).with_max_dv(cfg.max_dv).observing(&[in_node, out_node]);
+        let trace = inst.circuit.transient(&config).unwrap();
+        match trace.measure_edge(in_node, input_rising, out_node, output_rising, t_after) {
+            Some(m) => (m.delay, m.output_slew),
+            None => (t_stop - t_edge, cfg.slews[cfg.slews.len() - 1]),
+        }
+    }
+
+    /// Reference tables of one arc: `input` is `None` for the flop's CK→Q.
+    fn reference_tables(
+        chars: &Characterizer,
+        def: &CellDef,
+        input: Option<&str>,
+        output: &str,
+        nmos: &MosModel,
+        pmos: &MosModel,
+    ) -> ArcTables {
+        let cfg = &chars.config;
+        let (rows, cols) = (cfg.slews.len(), cfg.loads.len());
+        let mut t = ArcTables {
+            rows,
+            cols,
+            rise_delay: vec![0.0; rows * cols],
+            fall_delay: vec![0.0; rows * cols],
+            rise_tran: vec![0.0; rows * cols],
+            fall_tran: vec![0.0; rows * cols],
+        };
+        for (si, &slew) in cfg.slews.iter().enumerate() {
+            for (li, &load) in cfg.loads.iter().enumerate() {
+                for rising in [true, false] {
+                    let mut stimuli: BTreeMap<String, Waveform> = BTreeMap::new();
+                    let (m, output_rising) = match input {
+                        Some(input) => {
+                            let side = def.sensitizing_assignment(input, output).unwrap();
+                            let f = def.function(output);
+                            let assign = |high: bool| {
+                                let side = &side;
+                                move |pin: &str| {
+                                    if pin == input {
+                                        high
+                                    } else {
+                                        side.iter().find(|(p, _)| p == pin).is_some_and(|(_, v)| *v)
+                                    }
+                                }
+                            };
+                            let out_rises = !f.eval(&assign(false)) && f.eval(&assign(true));
+                            let output_rising = rising == out_rises;
+                            let t_edge = 0.3e-9;
+                            stimuli.insert(
+                                input.to_owned(),
+                                Waveform::from_slew(t_edge, slew, cfg.vdd, rising),
+                            );
+                            for (pin, high) in &side {
+                                stimuli.insert(
+                                    pin.clone(),
+                                    Waveform::Dc(if *high { cfg.vdd } else { 0.0 }),
+                                );
+                            }
+                            let m = reference_edge(
+                                chars,
+                                def,
+                                stimuli,
+                                (input, rising),
+                                (output, output_rising),
+                                (t_edge, 0.1e-9),
+                                slew,
+                                load,
+                                nmos,
+                                pmos,
+                            );
+                            (m, output_rising)
+                        }
+                        None => {
+                            let t_clk = 1.2e-9;
+                            let d_wave = Waveform::Ramp {
+                                t_start: 0.2e-9,
+                                duration: 50e-12,
+                                from: if rising { 0.0 } else { cfg.vdd },
+                                to: if rising { cfg.vdd } else { 0.0 },
+                            };
+                            stimuli.insert("D".into(), d_wave);
+                            stimuli.insert(
+                                "CK".into(),
+                                Waveform::from_slew(t_clk, slew, cfg.vdd, true),
+                            );
+                            let m = reference_edge(
+                                chars,
+                                def,
+                                stimuli,
+                                ("CK", true),
+                                ("Q", rising),
+                                (t_clk, t_clk - 0.1e-9),
+                                slew,
+                                load,
+                                nmos,
+                                pmos,
+                            );
+                            (m, rising)
+                        }
+                    };
+                    let idx = si * cols + li;
+                    if output_rising {
+                        t.rise_delay[idx] = m.0;
+                        t.rise_tran[idx] = m.1;
+                    } else {
+                        t.fall_delay[idx] = m.0;
+                        t.fall_tran[idx] = m.1;
+                    }
+                }
+            }
+        }
+        t
+    }
+
+    fn table_bits(t: &ArcTables) -> Vec<u64> {
+        [&t.rise_delay, &t.fall_delay, &t.rise_tran, &t.fall_tran]
+            .into_iter()
+            .flatten()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// The sweep (shared settle, early stop, overdrive memo, one instance
+    /// per load and direction) must reproduce the per-point reference bit
+    /// for bit on every arc of the char-grid cells: fresh, worst-case
+    /// 10-year and on a sampled die.
+    #[test]
+    fn sweep_tables_equal_the_per_point_reference_bit_for_bit() {
+        let cells = CellSet::nangate45_like().subset(&CHAR_GRID_CELLS);
+        let nominal = Characterizer::new(cells.clone(), CharConfig::fast()).unwrap();
+        let die = nominal.clone().with_variation(ptm::VariationModel::nominal_45nm(), 5);
+        let cases = [
+            (&nominal, AgingScenario::fresh()),
+            (&nominal, AgingScenario::worst_case(10.0)),
+            (&die, AgingScenario::fresh()),
+        ];
+        let mut arcs = 0;
+        for (chars, scenario) in cases {
+            let d = scenario.degradations();
+            let nmos = MosModel::nmos_45nm().degraded(&d.nmos);
+            let pmos = MosModel::pmos_45nm().degraded(&d.pmos);
+            for def in cells.iter() {
+                let mut pairs = Vec::new();
+                if def.is_sequential() {
+                    pairs.push((None, "Q".to_owned(), chars.flop_stimulus()));
+                }
+                for out in def.outputs.iter().filter(|_| !def.is_sequential()) {
+                    for input in &def.inputs {
+                        if def.timing_sense(input, &out.pin).is_some() {
+                            let stimulus = chars.comb_stimulus(def, input, &out.pin);
+                            pairs.push((Some(input.as_str()), out.pin.clone(), stimulus));
+                        }
+                    }
+                }
+                for (input, output, stimulus) in pairs {
+                    let got = chars.sweep_tables(def, &nmos, &pmos, &stimulus).unwrap();
+                    let want = reference_tables(chars, def, input, &output, &nmos, &pmos);
+                    assert_eq!((got.rows, got.cols), (want.rows, want.cols));
+                    assert_eq!(
+                        table_bits(&got),
+                        table_bits(&want),
+                        "{} {input:?}->{output} under {scenario}",
+                        def.name
+                    );
+                    arcs += 1;
+                }
+            }
+        }
+        assert_eq!(arcs, 3 * 11, "every arc of the six cells in all three cases");
+    }
+
+    /// The char-grid workload (its six cells on the paper grid over the
+    /// 2×2 λ grid) never falls back to the substituted delay, and the
+    /// context says so: its `unmeasured_edges` stage books 0.
+    #[test]
+    fn char_grid_cells_book_no_unmeasured_edges() {
+        let ctx = Arc::new(RunContext::new().with_workers(2));
+        let cells = CellSet::nangate45_like().subset(&CHAR_GRID_CELLS);
+        let chars = Characterizer::in_context(cells, CharConfig::paper(), &ctx).unwrap();
+        for scenario in AgingScenario::grid(1, 10.0) {
+            chars.library(&scenario).unwrap();
+        }
+        let report = ctx.report();
+        let stage = |name: &str| report.stages.iter().find(|s| s.name == name).unwrap().tasks;
+        assert_eq!(stage("unmeasured_edges"), 0);
+        assert!(stage("transient") > 0);
+    }
+
+    /// Below threshold no output completes its swing within the window:
+    /// every edge takes the fallback, and every fallback is counted.
+    #[test]
+    fn sub_threshold_supply_counts_every_fallback() {
+        let ctx = Arc::new(RunContext::new().with_workers(1));
+        let config =
+            CharConfig { vdd: 0.3, slews: vec![50e-12], loads: vec![2e-15], ..tiny_config() };
+        let inv = CellSet::nangate45_like().subset(&["INV_X1"]);
+        let chars = Characterizer::in_context(inv, config, &ctx).unwrap();
+        let lib = chars.library(&AgingScenario::fresh()).unwrap();
+        let arc = lib.cell("INV_X1").unwrap().output("Y").unwrap().arc_from("A").unwrap().clone();
+        let fallback = 4.0 * 50e-12 + 3.0e-9;
+        for table in [&arc.cell_rise, &arc.cell_fall] {
+            assert!((table.at(0, 0) - fallback).abs() < 1e-21, "{}", table.at(0, 0));
+        }
+        let report = ctx.report();
+        let unmeasured = report.stages.iter().find(|s| s.name == "unmeasured_edges").unwrap();
+        assert_eq!(unmeasured.tasks, 2, "one rising and one falling edge");
     }
 
     /// A two-inverter chain exercising the full `mc_lifetime` contract.

@@ -42,6 +42,13 @@ pub enum CharError {
         /// The unresolved pin name.
         pin: String,
     },
+    /// The transistor-level simulation of a cell's arc could not run.
+    Simulation {
+        /// The cell under characterization.
+        cell: String,
+        /// Why the simulator refused the run.
+        error: spicesim::SimError,
+    },
     /// A Monte-Carlo lifetime run was asked for with an unsound sampling
     /// plan or lifetime configuration.
     InvalidLifetimePlan {
@@ -69,6 +76,9 @@ impl fmt::Display for CharError {
             CharError::EmptyCellSet => write!(f, "empty cell set: nothing to characterize"),
             CharError::MissingPin { cell, pin } => {
                 write!(f, "cell '{cell}' has no transistor node for pin '{pin}'")
+            }
+            CharError::Simulation { cell, error } => {
+                write!(f, "cell '{cell}': transistor simulation failed: {error}")
             }
             CharError::InvalidLifetimePlan { problems } => {
                 write!(f, "invalid Monte-Carlo lifetime plan: {}", problems.join("; "))

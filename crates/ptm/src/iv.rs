@@ -2,6 +2,33 @@
 
 use crate::card::MosModel;
 
+/// A device's terminal voltages mapped into the magnitude domain of the
+/// I–V equations — the bias part of
+/// [`MosModel::drain_current_and_conductance`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Bias {
+    /// `Vgs_eff − Vth`, the only input of [`MosModel::overdrive`].
+    pub x: f64,
+    /// `Vds_eff ≥ 0` after the symmetric drain/source swap.
+    vds: f64,
+    /// Polarity sign times swap direction: maps the magnitude-domain
+    /// current back to the current into the drain terminal.
+    orientation: f64,
+}
+
+/// The transcendental terms of one overdrive `x = Vgs_eff − Vth`:
+/// `Vgt = softplus(x)`, `Vgt^α` and `Vgt^(α/2)`.
+///
+/// A pure function of `x` for a given card, so a caller may cache it keyed
+/// on `x`'s bits without changing any result. The powers are 0 when
+/// `Vgt ≤ 0` (the device is off and they are never read).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Overdrive {
+    vgt: f64,
+    vgt_alpha: f64,
+    vgt_half_alpha: f64,
+}
+
 impl MosModel {
     /// Drain current of a device with the given terminal voltages and aspect
     /// ratio `w_over_l`, in amperes.
@@ -28,33 +55,7 @@ impl MosModel {
     /// ```
     #[must_use]
     pub fn drain_current(&self, vg: f64, vd: f64, vs: f64, w_over_l: f64) -> f64 {
-        let sign = self.polarity.sign();
-        // Map to the magnitude domain (nMOS-like positive quantities).
-        let (mut vd_m, mut vs_m) = (sign * vd, sign * vs);
-        let vg_m = sign * vg;
-        // Symmetric device: the more negative terminal acts as source.
-        let mut direction = 1.0;
-        if vd_m < vs_m {
-            std::mem::swap(&mut vd_m, &mut vs_m);
-            direction = -1.0;
-        }
-        let vgs = vg_m - vs_m;
-        let vds = vd_m - vs_m;
-
-        let vgt = softplus(vgs - self.vth, self.v_smooth);
-        if vgt <= 0.0 {
-            return 0.0;
-        }
-        let isat = self.kp * w_over_l * vgt.powf(self.alpha) * (1.0 + self.channel_lambda * vds);
-        let vdsat = self.kv * vgt.powf(self.alpha * 0.5);
-        let id = if vds >= vdsat || vdsat <= 0.0 {
-            isat
-        } else {
-            let x = vds / vdsat;
-            isat * (2.0 - x) * x
-        };
-        // Undo direction swap and polarity mapping.
-        sign * direction * id
+        self.drain_current_and_conductance(vg, vd, vs, w_over_l).0
     }
 
     /// Small-signal output conductance estimate |dId/dVd| at the given bias,
@@ -70,7 +71,8 @@ impl MosModel {
 
     /// Drain current **and** analytic channel conductance |∂Id/∂Vds| in one
     /// evaluation — the hot path of the transient integrator's
-    /// exponential-Euler update.
+    /// exponential-Euler update. It is [`MosModel::bias`], then
+    /// [`MosModel::overdrive`], then [`MosModel::channel_current`].
     #[must_use]
     pub fn drain_current_and_conductance(
         &self,
@@ -79,6 +81,14 @@ impl MosModel {
         vs: f64,
         w_over_l: f64,
     ) -> (f64, f64) {
+        let bias = self.bias(vg, vd, vs);
+        self.channel_current(bias, self.overdrive(bias.x), self.kp * w_over_l)
+    }
+
+    /// Maps terminal voltages into the magnitude domain: the more negative
+    /// terminal (for nMOS; positive for pMOS) acts as source.
+    #[must_use]
+    pub fn bias(&self, vg: f64, vd: f64, vs: f64) -> Bias {
         let sign = self.polarity.sign();
         let (mut vd_m, mut vs_m) = (sign * vd, sign * vs);
         let vg_m = sign * vg;
@@ -88,14 +98,36 @@ impl MosModel {
             direction = -1.0;
         }
         let vgs = vg_m - vs_m;
-        let vds = vd_m - vs_m;
-        let vgt = softplus(vgs - self.vth, self.v_smooth);
+        Bias { x: vgs - self.vth, vds: vd_m - vs_m, orientation: sign * direction }
+    }
+
+    /// The overdrive terms at `x = Vgs_eff − Vth` — every transcendental
+    /// call of the I–V evaluation.
+    #[must_use]
+    pub fn overdrive(&self, x: f64) -> Overdrive {
+        let vgt = softplus(x, self.v_smooth);
         if vgt <= 0.0 {
+            return Overdrive { vgt, vgt_alpha: 0.0, vgt_half_alpha: 0.0 };
+        }
+        Overdrive {
+            vgt,
+            vgt_alpha: vgt.powf(self.alpha),
+            vgt_half_alpha: vgt.powf(self.alpha * 0.5),
+        }
+    }
+
+    /// Drain current and channel conductance from a [`Bias`] and its
+    /// [`Overdrive`]. `kp_w_over_l` is `self.kp * w_over_l`, which a caller
+    /// evaluating one device repeatedly can compute once.
+    #[must_use]
+    pub fn channel_current(&self, bias: Bias, od: Overdrive, kp_w_over_l: f64) -> (f64, f64) {
+        if od.vgt <= 0.0 {
             return (0.0, 0.0);
         }
-        let base = self.kp * w_over_l * vgt.powf(self.alpha);
+        let vds = bias.vds;
+        let base = kp_w_over_l * od.vgt_alpha;
         let isat = base * (1.0 + self.channel_lambda * vds);
-        let vdsat = self.kv * vgt.powf(self.alpha * 0.5);
+        let vdsat = self.kv * od.vgt_half_alpha;
         let (id, g) = if vds >= vdsat || vdsat <= 0.0 {
             (isat, base * self.channel_lambda)
         } else {
@@ -105,7 +137,7 @@ impl MosModel {
             let g = isat * (2.0 - 2.0 * x) / vdsat + base * self.channel_lambda * (2.0 - x) * x;
             (id, g)
         };
-        (sign * direction * id, g.abs())
+        (bias.orientation * id, g.abs())
     }
 }
 

@@ -36,6 +36,7 @@ mod iv;
 mod variation;
 
 pub use card::{MosModel, MosPolarity};
+pub use iv::{Bias, Overdrive};
 pub use variation::{DeviceSample, VariationModel};
 
 /// Nominal supply voltage of the modeled 45 nm corner (paper Sec. 4.4).

@@ -14,6 +14,12 @@
 //! parasitic node) while an adaptive step keeps the voltage change per step
 //! below [`TransientConfig::max_dv`] for accuracy.
 //!
+//! Characterization drives one input with many slews.
+//! [`Circuit::sweep_edges`] runs those variants as one sweep: the settle
+//! phase before the input edge is integrated once, and each variant stops
+//! as soon as its edge is measured. Its measurements equal those of
+//! separate [`Circuit::transient`] runs bit for bit.
+//!
 //! # Example: inverter delay
 //!
 //! ```
@@ -28,17 +34,21 @@
 //! c.add_pmos(MosModel::pmos_45nm(), a, y, c.vdd_node(), 630e-9);
 //! c.add_nmos(MosModel::nmos_45nm(), a, y, c.gnd_node(), 415e-9);
 //!
-//! let trace = c.transient(&TransientConfig::up_to(2.0e-9));
+//! let trace = c.transient(&TransientConfig::up_to(2.0e-9)).expect("non-empty window");
 //! let delay = trace.delay(a, true, y, false, 0.5 * vdd).expect("output fell");
 //! assert!(delay > 0.0 && delay < 100.0e-12);
 //! ```
 
 mod circuit;
 mod engine;
+mod error;
 mod measure;
+mod sweep;
 mod waveform;
 
 pub use circuit::{Circuit, DeviceId, NodeId};
 pub use engine::{Trace, TransientConfig};
-pub use measure::EdgeMeasurement;
+pub use error::SimError;
+pub use measure::{EdgeMeasurement, EdgeProbe};
+pub use sweep::{Sweep, SweepVariant, SweptEdge};
 pub use waveform::Waveform;

@@ -4,6 +4,12 @@
 use crate::circuit::NodeId;
 use crate::engine::Trace;
 
+/// Fractions of the supply at which delays (`MID`) and 10–90 % slews
+/// (`LOW`, `HIGH`) are measured.
+const MID: f64 = 0.5;
+const LOW: f64 = 0.1;
+const HIGH: f64 = 0.9;
+
 /// A measured output edge: 50 %-to-50 % propagation delay and 10–90 % output
 /// slew, both in seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,9 +34,7 @@ impl Trace {
                 continue;
             }
             let (v0, v1) = (v[i - 1], v[i]);
-            let crossed =
-                if rising { v0 < level && v1 >= level } else { v0 > level && v1 <= level };
-            if crossed {
+            if crosses(v0, v1, level, rising) {
                 let frac = if (v1 - v0).abs() > 0.0 { (level - v0) / (v1 - v0) } else { 1.0 };
                 let tc = t[i - 1] + frac * (t[i] - t[i - 1]);
                 if tc >= t_after {
@@ -53,7 +57,7 @@ impl Trace {
         output_rising: bool,
         t_after: f64,
     ) -> Option<f64> {
-        let half = 0.5 * self.vdd();
+        let half = MID * self.vdd();
         let t_in = self.crossing(input, half, input_rising, t_after)?;
         // The output may already be moving before the input's 50 % point
         // (very slow inputs), so search from the input edge start, not t_in.
@@ -77,7 +81,7 @@ impl Trace {
     /// 10 %–90 % transition time of the edge on `node` after `t_after`.
     #[must_use]
     pub fn slew_after(&self, node: NodeId, rising: bool, t_after: f64) -> Option<f64> {
-        let (lo, hi) = (0.1 * self.vdd(), 0.9 * self.vdd());
+        let (lo, hi) = (LOW * self.vdd(), HIGH * self.vdd());
         if rising {
             let t_lo = self.crossing(node, lo, true, t_after)?;
             let t_hi = self.crossing(node, hi, true, t_lo)?;
@@ -106,6 +110,66 @@ impl Trace {
     }
 }
 
+/// True if the segment `v0 → v1` crosses `level` in the given direction —
+/// the test [`Trace::crossing`] applies to each pair of samples.
+fn crosses(v0: f64, v1: f64, level: f64, rising: bool) -> bool {
+    if rising {
+        v0 < level && v1 >= level
+    } else {
+        v0 > level && v1 <= level
+    }
+}
+
+/// The input→output edge pair a [`crate::Circuit::sweep_edges`] run
+/// measures with [`Trace::measure_edge`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EdgeProbe {
+    /// The input node.
+    pub input: NodeId,
+    /// Direction of the input edge (`true` = low→high).
+    pub input_rising: bool,
+    /// The output node.
+    pub output: NodeId,
+    /// Direction of the output edge.
+    pub output_rising: bool,
+    /// Crossings before this time are ignored, in seconds.
+    pub t_after: f64,
+}
+
+impl EdgeProbe {
+    /// [`Trace::measure_edge`] of this probe on `trace`.
+    #[must_use]
+    pub fn measure(&self, trace: &Trace) -> Option<EdgeMeasurement> {
+        trace.measure_edge(
+            self.input,
+            self.input_rising,
+            self.output,
+            self.output_rising,
+            self.t_after,
+        )
+    }
+
+    /// True if the newest sample of `trace` completes a crossing of a level
+    /// [`EdgeProbe::measure`] reads: the input's 50 % level, or the
+    /// output's 50 %, 10 % or 90 % level, each in its edge direction. Only
+    /// such a sample can turn a failed measurement into a successful one.
+    pub(crate) fn newest_sample_crosses(&self, trace: &Trace) -> bool {
+        let newest = |node: NodeId| match trace.voltage(node) {
+            [.., v0, v1] => Some((*v0, *v1)),
+            _ => None,
+        };
+        let vdd = trace.vdd();
+        let input = newest(self.input)
+            .is_some_and(|(v0, v1)| crosses(v0, v1, MID * vdd, self.input_rising));
+        input
+            || newest(self.output).is_some_and(|(v0, v1)| {
+                [MID * vdd, LOW * vdd, HIGH * vdd]
+                    .into_iter()
+                    .any(|level| crosses(v0, v1, level, self.output_rising))
+            })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,7 +184,7 @@ mod tests {
         let y = c.add_node("y", load);
         c.add_pmos(MosModel::pmos_45nm(), a, y, c.vdd_node(), 630e-9);
         c.add_nmos(MosModel::nmos_45nm(), a, y, c.gnd_node(), 415e-9);
-        let trace = c.transient(&TransientConfig::up_to(6.0e-9));
+        let trace = c.transient(&TransientConfig::up_to(6.0e-9)).unwrap();
         (trace, a, y)
     }
 

@@ -18,7 +18,7 @@ fn inverter(load: f64, slew: f64, rising: bool) -> (Circuit, NodeId, NodeId) {
 fn delay(load: f64, slew: f64, rising: bool, max_dv: f64) -> f64 {
     let (c, a, y) = inverter(load, slew, rising);
     let cfg = TransientConfig::up_to(2e-9 + 4.0 * slew).with_max_dv(max_dv);
-    let trace = c.transient(&cfg);
+    let trace = c.transient(&cfg).expect("non-empty window");
     trace.delay_after(a, rising, y, !rising, 0.0).expect("edge propagates")
 }
 
@@ -56,7 +56,7 @@ proptest! {
     #[test]
     fn output_settles_to_rail(load in 0.5e-15f64..20e-15, rising in any::<bool>()) {
         let (c, _a, y) = inverter(load, 80e-12, rising);
-        let trace = c.transient(&TransientConfig::up_to(3e-9));
+        let trace = c.transient(&TransientConfig::up_to(3e-9)).expect("non-empty window");
         let v = trace.final_voltage(y);
         if rising {
             prop_assert!(v < 0.05, "output must settle low, got {v}");

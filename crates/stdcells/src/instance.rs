@@ -391,7 +391,7 @@ mod tests {
                 ]),
                 &load("Y", 1e-15),
             );
-            let trace = inst.circuit.transient(&TransientConfig::up_to(0.3e-9));
+            let trace = inst.circuit.transient(&TransientConfig::up_to(0.3e-9)).unwrap();
             let y = trace.final_voltage(inst.node("Y").unwrap());
             if expect {
                 assert!(y > 0.95 * vdd, "NAND({a},{b}) = {y}");
@@ -418,7 +418,7 @@ mod tests {
                 ]),
                 &load("Y", 1e-15),
             );
-            let trace = inst.circuit.transient(&TransientConfig::up_to(0.3e-9));
+            let trace = inst.circuit.transient(&TransientConfig::up_to(0.3e-9)).unwrap();
             let y = trace.final_voltage(inst.node("Y").unwrap());
             let expect = a ^ b;
             assert_eq!(y > 0.5 * vdd, expect, "XOR({a},{b}) = {y}");
@@ -444,7 +444,7 @@ mod tests {
                 ]),
                 &[("S".to_owned(), 1e-15), ("CO".to_owned(), 1e-15)].into_iter().collect(),
             );
-            let trace = inst.circuit.transient(&TransientConfig::up_to(0.4e-9));
+            let trace = inst.circuit.transient(&TransientConfig::up_to(0.4e-9)).unwrap();
             let s = trace.final_voltage(inst.node("S").unwrap()) > 0.5 * vdd;
             let co = trace.final_voltage(inst.node("CO").unwrap()) > 0.5 * vdd;
             let sum = u32::from(a) + u32::from(b) + u32::from(ci);
@@ -470,7 +470,7 @@ mod tests {
             ]),
             &load("Q", 2e-15),
         );
-        let trace = inst.circuit.transient(&TransientConfig::up_to(2.0e-9));
+        let trace = inst.circuit.transient(&TransientConfig::up_to(2.0e-9)).unwrap();
         let q = inst.node("Q").unwrap();
         // Before the edge Q holds the old value (low)...
         let idx_before =

@@ -32,7 +32,7 @@ fn measure(
     let loads: BTreeMap<String, f64> = [("Y".to_owned(), load)].into_iter().collect();
     let inst = cell.instantiate(nmos, pmos, VDD, &stimuli, &loads);
     let t_stop = 3.0e-9 + 3.0 * slew;
-    let trace = inst.circuit.transient(&TransientConfig::up_to(t_stop));
+    let trace = inst.circuit.transient(&TransientConfig::up_to(t_stop)).expect("non-empty window");
     trace
         .delay_after(
             inst.node("A").unwrap(),
