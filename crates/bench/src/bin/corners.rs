@@ -5,7 +5,7 @@
 
 use bench::{fresh_library, library_for, ps, row};
 use bti::AgingScenario;
-use flow::{estimate_guardband, FlowError, RunContext};
+use flow::{estimate_guardband, FlowError};
 use sta::Constraints;
 use std::process::ExitCode;
 
@@ -24,11 +24,11 @@ fn run() -> Result<(), FlowError> {
     if let Some(extra) = rest.first() {
         return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
     }
-    let ctx = RunContext::new();
+    let ctx = bench::context();
 
-    let fresh = ctx.stage("characterize", fresh_library)?;
+    let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
     let design = circuits::dct8();
-    let nl = ctx.stage("synthesis", || bench::synthesized(&design, &fresh, "fresh"))?;
+    let nl = ctx.stage("synthesis", || bench::synthesized(&design, &fresh))?;
     let c = Constraints::default();
 
     println!("Extension — guardband vs environment corner (DCT, worst case λ=1, 10y)\n");
@@ -40,7 +40,7 @@ fn run() -> Result<(), FlowError> {
         ("150C / 1.32V (hot, overdriven)", 423.15, 1.32),
     ] {
         let scenario = AgingScenario::worst_case(10.0).with_environment(temp, vdd);
-        let aged = ctx.stage("characterize", || library_for(&scenario))?;
+        let aged = ctx.stage("characterize", || library_for(&ctx, &scenario))?;
         let gb = ctx.stage("sta", || estimate_guardband(&nl, &fresh, &aged, &c))?;
         ctx.add_tasks("sta", 1);
         row(&[label.into(), ps(gb.aged_delay), ps(gb.guardband())]);

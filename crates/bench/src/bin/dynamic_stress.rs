@@ -7,15 +7,12 @@
 //! → a 3×3 grid / 9 characterized libraries; the paper's 10 → 121 libraries
 //! takes ~30 min on one core, all cached).
 
-use bench::{cache_dir, characterizer_in, ps, row, LIFETIME_YEARS};
-use bti::AgingScenario;
-use flow::{FlowError, RunContext};
-use liberty::{merge_indexed, parse_library, write_library, LambdaTag, Library};
+use bench::{characterizer_in, ps, row, LIFETIME_YEARS};
+use flow::FlowError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sta::Constraints;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 const USAGE: &str = "usage: dynamic_stress [--report <path>]
 
@@ -27,49 +24,18 @@ options:
   -h, --help       show this help
 ";
 
-/// Builds (or loads) the complete merged library on a `steps`-interval grid.
-fn complete_library(steps: u32, ctx: &Arc<RunContext>) -> Result<Library, FlowError> {
-    let dir = cache_dir();
-    std::fs::create_dir_all(&dir).map_err(|e| FlowError::io(dir.display(), &e))?;
-    let path = dir.join(format!("lib_complete_{steps}steps_10y.lib"));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(lib) = parse_library(&text) {
-            let expected = 68 * ((steps + 1) * (steps + 1)) as usize;
-            if lib.len() == expected {
-                return Ok(lib);
-            }
-        }
-    }
-    // Build from per-scenario cached libraries so partial progress persists.
-    let chars = characterizer_in(ctx)?;
-    let mut parts = Vec::new();
-    for scenario in AgingScenario::grid(steps, LIFETIME_YEARS) {
-        let lib = chars.library_cached(&dir, &scenario)?;
-        parts.push((
-            LambdaTag {
-                lambda_pmos: scenario.lambda_pmos.value(),
-                lambda_nmos: scenario.lambda_nmos.value(),
-            },
-            lib,
-        ));
-        eprintln!("characterized λ grid point {scenario}");
-    }
-    let merged = merge_indexed("complete", &parts);
-    std::fs::write(&path, write_library(&merged)).map_err(|e| FlowError::io(path.display(), &e))?;
-    Ok(merged)
-}
-
 fn run() -> Result<(), FlowError> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let (rest, report) = bench::cli::take_common_flags(&argv)?;
     if let Some(extra) = rest.first() {
         return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
     }
-    let ctx = Arc::new(RunContext::new());
+    let ctx = bench::context();
     let steps: u32 =
         std::env::var("RELIAWARE_STEPS").ok().and_then(|s| s.parse().ok()).unwrap_or(2);
-    let fresh = ctx.stage("characterize", bench::fresh_library)?;
-    let complete = ctx.stage("characterize", || complete_library(steps, &ctx))?;
+    let fresh = ctx.stage("characterize", || bench::fresh_library(&ctx))?;
+    let chars = characterizer_in(&ctx)?;
+    let complete = ctx.stage("characterize", || chars.complete_library(steps, LIFETIME_YEARS))?;
     println!(
         "complete degradation-aware library: {} λ-indexed cells ({} scenarios × 68)\n",
         complete.len(),
@@ -77,7 +43,7 @@ fn run() -> Result<(), FlowError> {
     );
 
     let design = circuits::dsp_fir();
-    let nl = ctx.stage("synthesis", || bench::synthesized(&design, &fresh, "fresh"))?;
+    let nl = ctx.stage("synthesis", || bench::synthesized(&design, &fresh))?;
 
     // Two workloads with very different signal statistics.
     let mut rng = StdRng::seed_from_u64(99);

@@ -6,7 +6,7 @@
 //! *improves* at large slews / small loads).
 
 use bench::{fresh_library, worst_library};
-use flow::{CharError, FlowError, RunContext};
+use flow::{CharError, FlowError};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: fig1 [--report <path>]
@@ -24,9 +24,9 @@ fn run() -> Result<(), FlowError> {
     if let Some(extra) = rest.first() {
         return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
     }
-    let ctx = RunContext::new();
-    let fresh = ctx.stage("characterize", fresh_library)?;
-    let aged = ctx.stage("characterize", worst_library)?;
+    let ctx = bench::context();
+    let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
+    let aged = ctx.stage("characterize", || worst_library(&ctx))?;
 
     for (cell, pin, arc_edge, title) in [
         (

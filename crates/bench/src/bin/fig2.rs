@@ -3,7 +3,7 @@
 //! full 7×7 OPC grid reveals a wide spread including *improvements*.
 
 use bench::{fresh_library, worst_library};
-use flow::{FlowError, RunContext};
+use flow::FlowError;
 use liberty::Table2d;
 use std::process::ExitCode;
 
@@ -81,9 +81,9 @@ fn run() -> Result<(), FlowError> {
     if let Some(extra) = rest.first() {
         return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
     }
-    let ctx = RunContext::new();
-    let fresh = ctx.stage("characterize", fresh_library)?;
-    let aged = ctx.stage("characterize", worst_library)?;
+    let ctx = bench::context();
+    let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
+    let aged = ctx.stage("characterize", || worst_library(&ctx))?;
 
     let mut single = Vec::new();
     let mut multi = Vec::new();

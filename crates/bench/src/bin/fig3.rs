@@ -7,7 +7,7 @@
 //! first pair that switches, with per-stage delays before/after aging.
 
 use bench::{fresh_library, ps, worst_library};
-use flow::{EvalError, FlowError, RunContext};
+use flow::{EvalError, FlowError};
 use liberty::Library;
 use netlist::{Netlist, NetlistError, PortDir};
 use sta::{analyze, Constraints};
@@ -71,9 +71,9 @@ fn run() -> Result<(), FlowError> {
     if let Some(extra) = rest.first() {
         return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
     }
-    let ctx = RunContext::new();
-    let fresh = ctx.stage("characterize", fresh_library)?;
-    let aged = ctx.stage("characterize", worst_library)?;
+    let ctx = bench::context();
+    let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
+    let aged = ctx.stage("characterize", || worst_library(&ctx))?;
 
     let candidates: Vec<Vec<&str>> = vec![
         vec!["INV_X4", "NAND2_X1", "NOR2_X2", "INV_X1"],

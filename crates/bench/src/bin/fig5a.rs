@@ -5,7 +5,7 @@
 use bench::{
     benchmark_netlists, fresh_library, pct, ps, row, worst_library, worst_vth_only_library,
 };
-use flow::{estimate_guardband, FlowError, RunContext};
+use flow::{estimate_guardband, FlowError};
 use sta::Constraints;
 use std::process::ExitCode;
 
@@ -24,11 +24,11 @@ fn run() -> Result<(), FlowError> {
     if let Some(extra) = rest.first() {
         return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
     }
-    let ctx = RunContext::new();
-    let fresh = ctx.stage("characterize", fresh_library)?;
-    let aged_full = ctx.stage("characterize", worst_library)?;
-    let aged_vth = ctx.stage("characterize", worst_vth_only_library)?;
-    let designs = ctx.stage("synthesis", || benchmark_netlists(&fresh, "fresh"))?;
+    let ctx = bench::context();
+    let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
+    let aged_full = ctx.stage("characterize", || worst_library(&ctx))?;
+    let aged_vth = ctx.stage("characterize", || worst_vth_only_library(&ctx))?;
+    let designs = ctx.stage("synthesis", || benchmark_netlists(&fresh))?;
     let c = Constraints::default();
 
     println!("Fig 5(a) — required guardband [ps], worst-case aging, 10 years\n");

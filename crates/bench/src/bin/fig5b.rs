@@ -3,7 +3,7 @@
 //! grossly over-estimates the required guardband.
 
 use bench::{benchmark_netlists, fresh_library, pct, ps, row, worst_library};
-use flow::{estimate_guardband, single_opc_aged_library, FlowError, RunContext};
+use flow::{estimate_guardband, single_opc_aged_library, FlowError};
 use sta::Constraints;
 use std::process::ExitCode;
 
@@ -22,9 +22,9 @@ fn run() -> Result<(), FlowError> {
     if let Some(extra) = rest.first() {
         return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
     }
-    let ctx = RunContext::new();
-    let fresh = ctx.stage("characterize", fresh_library)?;
-    let aged = ctx.stage("characterize", worst_library)?;
+    let ctx = bench::context();
+    let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
+    let aged = ctx.stage("characterize", || worst_library(&ctx))?;
     // The single-OPC state of the art characterizes aging at one
     // pessimistic corner — large slew, small load, where Fig. 1 shows the
     // biggest impact — and applies that degradation factor everywhere.
@@ -33,7 +33,7 @@ fn run() -> Result<(), FlowError> {
     let aged_single =
         ctx.stage("library", || single_opc_aged_library(&fresh, &aged, pess_slew, pess_load));
 
-    let designs = ctx.stage("synthesis", || benchmark_netlists(&fresh, "fresh"))?;
+    let designs = ctx.stage("synthesis", || benchmark_netlists(&fresh))?;
     let c = Constraints::default();
 
     println!("Fig 5(b) — required guardband [ps]: multiple OPCs vs a single OPC\n");

@@ -4,7 +4,7 @@
 //! path.
 
 use bench::{benchmark_netlists, fresh_library, pct, ps, row, worst_library};
-use flow::{estimate_guardband, guardband_of_initial_critical_path, FlowError, RunContext};
+use flow::{estimate_guardband, guardband_of_initial_critical_path, FlowError};
 use sta::Constraints;
 use std::process::ExitCode;
 
@@ -23,10 +23,10 @@ fn run() -> Result<(), FlowError> {
     if let Some(extra) = rest.first() {
         return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
     }
-    let ctx = RunContext::new();
-    let fresh = ctx.stage("characterize", fresh_library)?;
-    let aged = ctx.stage("characterize", worst_library)?;
-    let designs = ctx.stage("synthesis", || benchmark_netlists(&fresh, "fresh"))?;
+    let ctx = bench::context();
+    let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
+    let aged = ctx.stage("characterize", || worst_library(&ctx))?;
+    let designs = ctx.stage("synthesis", || benchmark_netlists(&fresh))?;
     let c = Constraints::default();
 
     println!("Fig 5(c) — guardband [ps]: full re-analysis vs initial-CP-only tracking\n");

@@ -4,7 +4,7 @@
 //! contained guardband), plus the area overhead of awareness.
 
 use bench::{aware_netlist, benchmark_netlists, fresh_library, pct, ps, row, worst_library};
-use flow::{FlowError, RunContext};
+use flow::FlowError;
 use sta::{analyze, Constraints};
 use std::process::ExitCode;
 
@@ -23,10 +23,10 @@ fn run() -> Result<(), FlowError> {
     if let Some(extra) = rest.first() {
         return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
     }
-    let ctx = RunContext::new();
-    let fresh = ctx.stage("characterize", fresh_library)?;
-    let aged = ctx.stage("characterize", worst_library)?;
-    let baselines = ctx.stage("synthesis", || benchmark_netlists(&fresh, "fresh"))?;
+    let ctx = bench::context();
+    let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
+    let aged = ctx.stage("characterize", || worst_library(&ctx))?;
+    let baselines = ctx.stage("synthesis", || benchmark_netlists(&fresh))?;
     let c = Constraints::default();
 
     println!("Fig 6(a) — guardband [ps]: traditional vs aging-aware synthesis (worst case, 10y)\n");

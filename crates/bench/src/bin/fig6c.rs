@@ -7,7 +7,7 @@
 
 use bench::{balanced_library, fresh_library, library_for, worst_library, ImageChain};
 use bti::AgingScenario;
-use flow::{FlowError, RunContext};
+use flow::FlowError;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: fig6c [--report <path>]
@@ -26,11 +26,11 @@ fn run() -> Result<(), FlowError> {
     if let Some(extra) = rest.first() {
         return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
     }
-    let ctx = RunContext::new();
+    let ctx = bench::context();
     let size: usize =
         std::env::var("RELIAWARE_IMG").ok().and_then(|s| s.parse().ok()).unwrap_or(32);
-    let fresh = ctx.stage("characterize", fresh_library)?;
-    let aged10 = ctx.stage("characterize", worst_library)?;
+    let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
+    let aged10 = ctx.stage("characterize", || worst_library(&ctx))?;
 
     let unaware = ctx.stage("synthesis", || ImageChain::build(&fresh, &aged10, false))?;
     let aware = ctx.stage("synthesis", || ImageChain::build(&fresh, &aged10, true))?;
@@ -46,15 +46,15 @@ fn run() -> Result<(), FlowError> {
     let image = imgproc::synthetic::test_image(size, size, 7);
     let scenarios: Vec<(&str, liberty::Library)> = vec![
         ("unaged (year 0)", fresh.clone()),
-        ("balanced λ=0.5, 1y", ctx.stage("characterize", || balanced_library(1.0))?),
-        ("balanced λ=0.5, 10y", ctx.stage("characterize", || balanced_library(10.0))?),
+        ("balanced λ=0.5, 1y", ctx.stage("characterize", || balanced_library(&ctx, 1.0))?),
+        ("balanced λ=0.5, 10y", ctx.stage("characterize", || balanced_library(&ctx, 10.0))?),
         (
             "worst λ=1, 1y",
-            ctx.stage("characterize", || library_for(&AgingScenario::worst_case(1.0)))?,
+            ctx.stage("characterize", || library_for(&ctx, &AgingScenario::worst_case(1.0)))?,
         ),
         (
             "worst λ=1, 3y",
-            ctx.stage("characterize", || library_for(&AgingScenario::worst_case(3.0)))?,
+            ctx.stage("characterize", || library_for(&ctx, &AgingScenario::worst_case(3.0)))?,
         ),
         ("worst λ=1, 10y", aged10.clone()),
     ];

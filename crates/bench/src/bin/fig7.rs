@@ -4,7 +4,7 @@
 
 use bench::{balanced_library, fresh_library, library_for, worst_library, ImageChain};
 use bti::AgingScenario;
-use flow::{FlowError, RunContext};
+use flow::FlowError;
 use imgproc::write_pgm;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -25,14 +25,14 @@ fn run() -> Result<(), FlowError> {
     if let Some(extra) = rest.first() {
         return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
     }
-    let ctx = RunContext::new();
+    let ctx = bench::context();
     let size: usize =
         std::env::var("RELIAWARE_IMG").ok().and_then(|s| s.parse().ok()).unwrap_or(48);
     let out_dir = PathBuf::from("target/fig7");
     std::fs::create_dir_all(&out_dir).map_err(|e| FlowError::io(out_dir.display(), &e))?;
 
-    let fresh = ctx.stage("characterize", fresh_library)?;
-    let aged10 = ctx.stage("characterize", worst_library)?;
+    let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
+    let aged10 = ctx.stage("characterize", || worst_library(&ctx))?;
     let unaware = ctx.stage("synthesis", || ImageChain::build(&fresh, &aged10, false))?;
     let aware = ctx.stage("synthesis", || ImageChain::build(&fresh, &aged10, true))?;
     let period = ctx.stage("sta", || unaware.fresh_period(&fresh))? * 1.001;
@@ -43,10 +43,10 @@ fn run() -> Result<(), FlowError> {
         .map_err(|e| FlowError::io(original.display(), &e))?;
 
     let scenarios: Vec<(&str, liberty::Library)> = vec![
-        ("year1_balance", ctx.stage("characterize", || balanced_library(1.0))?),
+        ("year1_balance", ctx.stage("characterize", || balanced_library(&ctx, 1.0))?),
         (
             "year1_worst",
-            ctx.stage("characterize", || library_for(&AgingScenario::worst_case(1.0)))?,
+            ctx.stage("characterize", || library_for(&ctx, &AgingScenario::worst_case(1.0)))?,
         ),
         ("year10_worst", aged10.clone()),
     ];

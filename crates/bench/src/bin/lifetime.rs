@@ -139,11 +139,12 @@ fn run() -> Result<(), FlowError> {
         run_mttf(&path, &ctx)?;
         return bench::cli::emit_report(&ctx, report.as_deref());
     }
-    let ctx = RunContext::new();
+    let ctx = bench::context();
     let size: usize =
         std::env::var("RELIAWARE_IMG").ok().and_then(|s| s.parse().ok()).unwrap_or(24);
-    let fresh = ctx.stage("characterize", fresh_library)?;
-    let aged10 = ctx.stage("characterize", || library_for(&AgingScenario::worst_case(10.0)))?;
+    let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
+    let aged10 =
+        ctx.stage("characterize", || library_for(&ctx, &AgingScenario::worst_case(10.0)))?;
     let unaware = ctx.stage("synthesis", || ImageChain::build(&fresh, &aged10, false))?;
     let aware = ctx.stage("synthesis", || ImageChain::build(&fresh, &aged10, true))?;
     let period = ctx.stage("sta", || unaware.fresh_period(&fresh))? * 1.001;
@@ -159,7 +160,7 @@ fn run() -> Result<(), FlowError> {
     let mut fail_unaware: Option<f64> = None;
     let mut fail_aware: Option<f64> = None;
     for &y in &years {
-        let lib = ctx.stage("characterize", || library_for(&AgingScenario::worst_case(y)))?;
+        let lib = ctx.stage("characterize", || library_for(&ctx, &AgingScenario::worst_case(y)))?;
         let ru = ctx.stage("system-eval", || unaware.run(&image, &lib, period))?;
         let ra = ctx.stage("system-eval", || aware.run(&image, &lib, period))?;
         ctx.add_tasks("system-eval", 2);

@@ -3,7 +3,7 @@
 //! Synthesizes the bundled benchmarks against the fixture library, runs the
 //! static λ-interval lifetime analysis once per design, then samples N dies
 //! with per-instance fresh-Vth offsets and composes each die's series-system
-//! design MTTF ([`flow::Characterizer::mc_lifetime`]). Reports the
+//! design MTTF ([`flow::mc_lifetime`]). Reports the
 //! empirical distribution (min / p5 / median / mean / p95 / max), the
 //! variation-aware static lower bound every sample must respect, and the p5
 //! retention of the nominal bound.
@@ -16,10 +16,9 @@
 //! Exit status: 0 on success, 1 when any sampled die falls below the
 //! variation-aware static bound (a soundness violation), 2 on usage errors.
 
-use flow::{Characterizer, FlowError, RunContext};
-use ptm::VariationModel;
+use dataflow::McSampling;
+use flow::{FlowError, RunContext};
 use std::process::ExitCode;
-use std::sync::Arc;
 
 const USAGE: &str = "\
 usage: mcvar [options]
@@ -136,18 +135,16 @@ fn run() -> Result<ExitCode, FlowError> {
             .collect::<Result<_, _>>()?
     };
 
-    let ctx = Arc::new(RunContext::new().with_workers(args.workers.max(1)));
-    let variation =
-        VariationModel { sigma_vth: args.sigma_vth, sigma_kp_frac: 0.0, clamp_sigmas: args.clamp };
-    if let Some(problem) = variation.validation_errors().into_iter().next() {
+    let ctx = RunContext::new().with_workers(args.workers.max(1));
+    let sampling = McSampling {
+        samples,
+        seed: args.seed,
+        sigma_vth: args.sigma_vth,
+        clamp_sigmas: args.clamp,
+    };
+    if let Some(problem) = sampling.validation_errors().into_iter().next() {
         return Err(FlowError::Usage(problem));
     }
-    let chars = Characterizer::in_context(
-        stdcells::CellSet::nangate45_like(),
-        flow::CharConfig::paper(),
-        &ctx,
-    )?
-    .with_variation(variation, args.seed);
 
     let library = synth::test_fixtures::fixture_library();
     let lifetime = dataflow::LifetimeConfig::default();
@@ -169,8 +166,9 @@ fn run() -> Result<ExitCode, FlowError> {
         let nl = ctx.stage("synthesis", || {
             synth::synthesize(&design.aig, &library, &synth::MapOptions::default())
         })?;
-        let outcome =
-            ctx.stage("mc-lifetime", || chars.mc_lifetime(&nl, &library, &lifetime, &df, samples))?;
+        let outcome = ctx.stage("mc-lifetime", || {
+            flow::mc_lifetime(&ctx, &nl, &library, &lifetime, &df, &sampling)
+        })?;
         let dist = &outcome.distribution;
         let contained = dist.contains_static_bound();
         all_contained &= contained;

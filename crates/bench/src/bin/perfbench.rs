@@ -622,11 +622,10 @@ fn run() -> Result<(), FlowError> {
         let lt_config = dataflow::LifetimeConfig::default();
         let df_config = dataflow::DataflowConfig::default();
         let samples = if opts.smoke { 16 } else { 256 };
+        let sampling = dataflow::McSampling::nominal_45nm(samples, 1);
         let mc_lifetime = |workers: usize| -> Result<flow::McLifetimeOutcome, FlowError> {
-            let config = char_config(&opts, workers);
-            let chars = Characterizer::new(CellSet::nangate45_like().subset(&["INV_X1"]), config)?
-                .with_variation(ptm::VariationModel::nominal_45nm(), 1);
-            Ok(chars.mc_lifetime(&nl, &fixture, &lt_config, &df_config, samples)?)
+            let run = RunContext::new().with_workers(workers);
+            Ok(flow::mc_lifetime(&run, &nl, &fixture, &lt_config, &df_config, &sampling)?)
         };
         let (one, one_secs) = time(|| mc_lifetime(1));
         let one = one?;

@@ -9,7 +9,7 @@
 //! the instances on the aged critical path and its dominant mechanism.
 
 use bench::{benchmark_netlists, fresh_library, pct, ps, row, worst_library};
-use flow::{FlowError, RunContext};
+use flow::FlowError;
 use sta::{analyze, evaluate_path_steps_with, k_worst_paths, Constraints, PathSpec};
 use std::process::ExitCode;
 
@@ -86,10 +86,10 @@ fn run() -> Result<(), FlowError> {
     if let Some(extra) = rest.first() {
         return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
     }
-    let ctx = RunContext::new();
-    let fresh = ctx.stage("characterize", fresh_library)?;
-    let aged = ctx.stage("characterize", worst_library)?;
-    let designs = ctx.stage("synthesis", || benchmark_netlists(&fresh, "fresh"))?;
+    let ctx = bench::context();
+    let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
+    let aged = ctx.stage("characterize", || worst_library(&ctx))?;
+    let designs = ctx.stage("synthesis", || benchmark_netlists(&fresh))?;
     let c = Constraints::default();
     let k = 2000;
 

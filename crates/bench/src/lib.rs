@@ -1,16 +1,18 @@
 //! Shared harness for the figure-regeneration binaries and Criterion
-//! benches: disk-cached characterized libraries, synthesized benchmark
-//! netlists and table printing.
+//! benches: the run context with its disk arc cache, characterized
+//! libraries, synthesized benchmark netlists and table printing.
 //!
 //! Every binary in `src/bin/` regenerates one figure of the paper (see
 //! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for recorded
-//! results). All expensive artifacts — characterized libraries and mapped
-//! netlists — are cached under [`cache_dir`] as Liberty/Verilog text, so
-//! repeated runs are fast and the artifacts stay inspectable.
+//! results). Both expensive artifacts are cached under [`cache_dir`]:
+//! characterized libraries as the per-arc entries of the [`context`]'s
+//! [`ArcCache`], mapped netlists as Verilog text named by the content digest
+//! of the libraries they were mapped against. Repeated runs are fast and
+//! the artifacts stay inspectable.
 
 use bti::AgingScenario;
-use flow::{CharConfig, Characterizer, FlowError, RunContext};
-use liberty::{parse_library, write_library, Library};
+use flow::{ArcCache, CharConfig, Characterizer, FlowError, KeyHasher, RunContext};
+use liberty::{write_library, Library};
 use netlist::verilog::{parse_verilog, write_verilog};
 use netlist::Netlist;
 use std::path::PathBuf;
@@ -30,23 +32,23 @@ pub fn cache_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("target/reliaware-cache"))
 }
 
-/// The paper-grade characterizer: all 68 cells on the 7×7 OPC grid.
+/// The run context of a figure binary: the machine's worker count and an
+/// [`ArcCache`] persisted under [`cache_dir`], shared by every library the
+/// run characterizes.
+#[must_use]
+pub fn context() -> Arc<RunContext> {
+    Arc::new(RunContext::new().with_cache(Arc::new(ArcCache::with_dir(cache_dir()))))
+}
+
+/// The paper-grade characterizer — all 68 cells on the 7×7 OPC grid —
+/// wired into `ctx`: it inherits the context's worker count and arc cache,
+/// and bills its work to the `characterize` stage of the context's run
+/// report.
 ///
 /// # Errors
 ///
 /// Propagates [`FlowError::Char`] (the paper config always validates, but
 /// the caller sees any future validation failure as a typed error).
-pub fn characterizer() -> Result<Characterizer, FlowError> {
-    Ok(Characterizer::new(CellSet::nangate45_like(), CharConfig::paper())?)
-}
-
-/// [`characterizer`] wired into a [`RunContext`]: inherits the context's
-/// worker count and arc cache, and bills its work to the `characterize`
-/// stage of the context's run report.
-///
-/// # Errors
-///
-/// Same as [`characterizer`].
 pub fn characterizer_in(ctx: &Arc<RunContext>) -> Result<Characterizer, FlowError> {
     Ok(Characterizer::in_context(CellSet::nangate45_like(), CharConfig::paper(), ctx)?)
 }
@@ -54,14 +56,14 @@ pub fn characterizer_in(ctx: &Arc<RunContext>) -> Result<Characterizer, FlowErro
 /// Evaluation lifetime used throughout the figures (the paper's 10 years).
 pub const LIFETIME_YEARS: f64 = 10.0;
 
-/// Cached characterized library for `scenario`.
+/// The characterized library for `scenario`, reassembled from `ctx`'s arc
+/// cache where it holds the arcs.
 ///
 /// # Errors
 ///
-/// Returns [`FlowError::Char`] when the cache directory is unusable or
-/// characterization fails.
-pub fn library_for(scenario: &AgingScenario) -> Result<Library, FlowError> {
-    Ok(characterizer()?.library_cached(&cache_dir(), scenario)?)
+/// Returns [`FlowError::Char`] when characterization fails.
+pub fn library_for(ctx: &Arc<RunContext>, scenario: &AgingScenario) -> Result<Library, FlowError> {
+    Ok(characterizer_in(ctx)?.library(scenario)?)
 }
 
 /// The fresh (initial, degradation-unaware) library.
@@ -69,8 +71,8 @@ pub fn library_for(scenario: &AgingScenario) -> Result<Library, FlowError> {
 /// # Errors
 ///
 /// See [`library_for`].
-pub fn fresh_library() -> Result<Library, FlowError> {
-    library_for(&AgingScenario::fresh())
+pub fn fresh_library(ctx: &Arc<RunContext>) -> Result<Library, FlowError> {
+    library_for(ctx, &AgingScenario::fresh())
 }
 
 /// The worst-case (λ = 1, 10 y) degradation-aware library.
@@ -78,8 +80,8 @@ pub fn fresh_library() -> Result<Library, FlowError> {
 /// # Errors
 ///
 /// See [`library_for`].
-pub fn worst_library() -> Result<Library, FlowError> {
-    library_for(&AgingScenario::worst_case(LIFETIME_YEARS))
+pub fn worst_library(ctx: &Arc<RunContext>) -> Result<Library, FlowError> {
+    library_for(ctx, &AgingScenario::worst_case(LIFETIME_YEARS))
 }
 
 /// The balanced-stress (λ = 0.5) library at `years`.
@@ -87,48 +89,45 @@ pub fn worst_library() -> Result<Library, FlowError> {
 /// # Errors
 ///
 /// See [`library_for`].
-pub fn balanced_library(years: f64) -> Result<Library, FlowError> {
-    library_for(&AgingScenario::balanced(years))
+pub fn balanced_library(ctx: &Arc<RunContext>, years: f64) -> Result<Library, FlowError> {
+    library_for(ctx, &AgingScenario::balanced(years))
 }
 
 /// The worst-case library with mobility degradation ignored (ΔVth-only
-/// state of the art), cached separately.
+/// state of the art).
 ///
 /// # Errors
 ///
-/// Returns [`FlowError::Io`] for an unusable cache directory and
-/// propagates characterization failures.
-pub fn worst_vth_only_library() -> Result<Library, FlowError> {
-    let dir = cache_dir();
-    std::fs::create_dir_all(&dir).map_err(|e| FlowError::io(dir.display(), &e))?;
-    let path = dir.join("lib_vthonly_worst_10y_7x7.lib");
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(lib) = parse_library(&text) {
-            if lib.len() == 68 {
-                return Ok(lib);
-            }
-        }
-    }
-    let lib = characterizer()?.library_vth_only(&AgingScenario::worst_case(LIFETIME_YEARS))?;
-    std::fs::write(&path, write_library(&lib)).map_err(|e| FlowError::io(path.display(), &e))?;
-    Ok(lib)
+/// See [`library_for`].
+pub fn worst_vth_only_library(ctx: &Arc<RunContext>) -> Result<Library, FlowError> {
+    Ok(characterizer_in(ctx)?.library_vth_only(&AgingScenario::worst_case(LIFETIME_YEARS))?)
 }
 
-/// Synthesizes (or loads from cache) `design` against `library`; the cache
-/// key couples the design and library names.
-///
-/// # Errors
-///
-/// Returns [`FlowError::Synth`] on synthesis failure and [`FlowError::Io`]
-/// for an unusable cache.
-pub fn synthesized(
+/// The netlist-cache digest of `library`: a [`KeyHasher`] over its Liberty
+/// text, which renders every value exactly.
+fn library_digest(library: &Library) -> u64 {
+    KeyHasher::new().str(&write_library(library)).finish()
+}
+
+/// The cache file name of design `design` mapped against the libraries
+/// with `digests` (one for [`synthesized`], fresh and aged for
+/// [`aware_netlist`]).
+fn netlist_file(design: &str, digests: &[u64]) -> String {
+    let digests: String = digests.iter().map(|d| format!("_{d:016x}")).collect();
+    format!("netlist_{}{digests}.v", design.replace('-', "_"))
+}
+
+/// Loads the netlist cached for `design` under `digests` when it parses and
+/// validates against `library`, or runs `synthesize` and caches its result.
+fn cached_netlist(
     design: &circuits::Design,
+    digests: &[u64],
     library: &Library,
-    tag: &str,
+    synthesize: impl FnOnce() -> Result<Netlist, FlowError>,
 ) -> Result<Netlist, FlowError> {
     let dir = cache_dir();
     std::fs::create_dir_all(&dir).map_err(|e| FlowError::io(dir.display(), &e))?;
-    let path = dir.join(format!("netlist_{}_{tag}.v", design.name.replace('-', "_")));
+    let path = dir.join(netlist_file(&design.name, digests));
     if let Ok(text) = std::fs::read_to_string(&path) {
         if let Ok(nl) = parse_verilog(&text) {
             if nl.validate(library).is_ok() {
@@ -136,13 +135,36 @@ pub fn synthesized(
             }
         }
     }
-    let nl = flow::synthesize_best(&design.aig, library, &MapOptions::default())?;
+    let nl = synthesize()?;
     std::fs::write(&path, write_verilog(&nl)).map_err(|e| FlowError::io(path.display(), &e))?;
     Ok(nl)
 }
 
+/// `design` synthesized against the library with digest `digest`.
+fn synthesized_with(
+    design: &circuits::Design,
+    library: &Library,
+    digest: u64,
+) -> Result<Netlist, FlowError> {
+    cached_netlist(design, &[digest], library, || {
+        Ok(flow::synthesize_best(&design.aig, library, &MapOptions::default())?)
+    })
+}
+
+/// Synthesizes (or loads from cache) `design` against `library`. The cache
+/// file is named by the design and a digest of `library`'s Liberty text.
+///
+/// # Errors
+///
+/// Returns [`FlowError::Synth`] on synthesis failure and [`FlowError::Io`]
+/// for an unusable cache.
+pub fn synthesized(design: &circuits::Design, library: &Library) -> Result<Netlist, FlowError> {
+    synthesized_with(design, library, library_digest(library))
+}
+
 /// The aging-aware netlist of `design` (cached): candidates mapped with
 /// both libraries, selected and sized by **aged** timing (paper Sec. 4.3).
+/// The cache file is named by the design and both libraries' digests.
 ///
 /// # Errors
 ///
@@ -153,19 +175,10 @@ pub fn aware_netlist(
     fresh: &Library,
     aged: &Library,
 ) -> Result<Netlist, FlowError> {
-    let dir = cache_dir();
-    std::fs::create_dir_all(&dir).map_err(|e| FlowError::io(dir.display(), &e))?;
-    let path = dir.join(format!("netlist_{}_aware.v", design.name.replace('-', "_")));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(nl) = parse_verilog(&text) {
-            if nl.validate(aged).is_ok() {
-                return Ok(nl);
-            }
-        }
-    }
-    let nl = flow::synthesize_aging_aware(&design.aig, fresh, aged, &MapOptions::default())?;
-    std::fs::write(&path, write_verilog(&nl)).map_err(|e| FlowError::io(path.display(), &e))?;
-    Ok(nl)
+    let digests = [library_digest(fresh), library_digest(aged)];
+    cached_netlist(design, &digests, aged, || {
+        Ok(flow::synthesize_aging_aware(&design.aig, fresh, aged, &MapOptions::default())?)
+    })
 }
 
 /// All seven paper benchmarks synthesized against `library` (cached),
@@ -176,12 +189,12 @@ pub fn aware_netlist(
 /// Propagates the first [`FlowError`] from [`synthesized`].
 pub fn benchmark_netlists(
     library: &Library,
-    tag: &str,
 ) -> Result<Vec<(circuits::Design, Netlist)>, FlowError> {
+    let digest = library_digest(library);
     circuits::all_benchmarks()
         .into_iter()
         .map(|d| {
-            let nl = synthesized(&d, library, tag)?;
+            let nl = synthesized_with(&d, library, digest)?;
             Ok((d, nl))
         })
         .collect()
@@ -214,7 +227,7 @@ impl ImageChain {
         let (dct, idct) = if aware {
             (aware_netlist(&dct_design, fresh, aged)?, aware_netlist(&idct_design, fresh, aged)?)
         } else {
-            (synthesized(&dct_design, fresh, "fresh")?, synthesized(&idct_design, fresh, "fresh")?)
+            (synthesized(&dct_design, fresh)?, synthesized(&idct_design, fresh)?)
         };
         Ok(ImageChain { dct_design, idct_design, dct, idct })
     }
@@ -360,6 +373,24 @@ mod tests {
         assert_eq!(utc_stamp(0), "19700101-000000");
         // 2016-06-05 12:00:00 UTC — the paper's DAC week.
         assert_eq!(utc_stamp(1_465_128_000), "20160605-120000");
+    }
+
+    /// Two libraries that differ in one table value must not share a cached
+    /// netlist.
+    #[test]
+    fn netlist_file_tracks_every_table_value() {
+        let base = synth::test_fixtures::fixture_library();
+        let mut inv = base.cell("INV_X1").unwrap().clone();
+        let arc = &mut inv.outputs[0].arcs[0];
+        let mut values = arc.cell_rise.values().to_vec();
+        values[0] *= 1.5;
+        let axes = (arc.cell_rise.slew_axis().to_vec(), arc.cell_rise.load_axis().to_vec());
+        arc.cell_rise = liberty::Table2d::new(axes.0, axes.1, values).unwrap();
+        let mut moved = base.clone();
+        moved.add_cell(inv);
+        let name = |lib: &Library| netlist_file("DCT", &[library_digest(lib)]);
+        assert_ne!(name(&base), name(&moved));
+        assert_eq!(name(&base), name(&synth::test_fixtures::fixture_library()));
     }
 
     #[test]

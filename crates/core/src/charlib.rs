@@ -5,16 +5,13 @@ use crate::context::RunContext;
 use crate::error::CharError;
 use crate::pool;
 use bti::AgingScenario;
-use dataflow::{DataflowConfig, LifetimeConfig, LifetimeReport, McDistribution, McSampling};
 use liberty::{
-    merge_indexed, parse_library, write_library, Cell, CellClass, InputPin, LambdaTag, Library,
-    OutputPin, Table2d, TimingArc, TimingSense,
+    merge_indexed, Cell, CellClass, InputPin, LambdaTag, Library, OutputPin, Table2d, TimingArc,
+    TimingSense,
 };
-use netlist::Netlist;
 use ptm::{MosModel, MosPolarity, VariationModel};
 use spicesim::{EdgeProbe, SweepVariant, TransientConfig, Waveform};
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::sync::Arc;
 use stdcells::{CellDef, CellInstance, CellSet, SampledCards, Topology};
 use surrogate::ArcFeatures;
@@ -125,17 +122,6 @@ pub struct Characterizer {
     /// model) characterizes the nominal die on the exact pre-variation
     /// code path, bit-identically.
     variation: Option<(VariationModel, u64)>,
-}
-
-/// Result of [`Characterizer::mc_lifetime`]: the deterministic static
-/// lifetime report plus the Monte-Carlo design-MTTF distribution sampled
-/// on top of it.
-#[derive(Debug, Clone)]
-pub struct McLifetimeOutcome {
-    /// The nominal (interval-based) static lifetime analysis.
-    pub report: LifetimeReport,
-    /// Per-die sampled design MTTFs with quantile/guardband accessors.
-    pub distribution: McDistribution,
 }
 
 impl Characterizer {
@@ -341,64 +327,6 @@ impl Characterizer {
         Ok(lib)
     }
 
-    /// Monte-Carlo lifetime of `netlist` under process variation: the
-    /// static λ-interval lifetime analysis runs once, then `samples`
-    /// per-die draws of the sampled fresh-Vth offsets are composed into a
-    /// design-MTTF distribution on the shared worker pool.
-    ///
-    /// The per-sample MTTF is a pure function of `(sampling plan, sample
-    /// index)` and the fan-out preserves sample order, so the distribution
-    /// is **bit-identical at any worker count** and across cold/warm cache
-    /// states. The sampling plan comes from the attached
-    /// [`Characterizer::with_variation`] model (seeded by its die seed);
-    /// without one, a zero-variance plan reproduces the deterministic
-    /// static bound in every sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CharError::InvalidLifetimePlan`], naming every failed
-    /// check, when the derived sampling plan (e.g. zero samples) or the
-    /// lifetime config fails validation.
-    pub fn mc_lifetime(
-        &self,
-        netlist: &Netlist,
-        library: &Library,
-        lifetime: &LifetimeConfig,
-        df: &DataflowConfig,
-        samples: usize,
-    ) -> Result<McLifetimeOutcome, CharError> {
-        let sampling = match &self.variation {
-            Some((model, die_seed)) => McSampling {
-                samples,
-                seed: *die_seed,
-                sigma_vth: model.sigma_vth,
-                clamp_sigmas: model.clamp_sigmas,
-            },
-            None => McSampling::zero_variance(samples, 0),
-        };
-        let mut problems = sampling.validation_errors();
-        problems.extend(lifetime.validation_errors());
-        if !problems.is_empty() {
-            return Err(CharError::InvalidLifetimePlan { problems });
-        }
-        let report = dataflow::static_lifetime_bound(netlist, library, lifetime, df);
-        if let Some(ctx) = &self.ctx {
-            ctx.add_tasks("mc_lifetime", samples as u64);
-        }
-        let indices: Vec<usize> = (0..samples).collect();
-        let workers = self.config.parallelism.clamp(1, samples.max(1));
-        let mttfs = pool::parallel_map(workers, &indices, |&s| {
-            dataflow::sample_design_mttf(&report, &sampling, s)
-        });
-        let distribution = McDistribution {
-            samples: mttfs,
-            nominal_years: report.design_mttf_lo_years,
-            static_bound_years: dataflow::clamp_boundary_bound(&report, &sampling),
-            sampling,
-        };
-        Ok(McLifetimeOutcome { report, distribution })
-    }
-
     /// The N×N grid of per-scenario libraries merged into one *complete*
     /// degradation-aware library with λ-indexed cell names (`steps = 10`
     /// reproduces the paper's 121 libraries).
@@ -455,58 +383,6 @@ impl Characterizer {
             parts.push((*tag, lib));
         }
         Ok(merge_indexed("complete", &parts))
-    }
-
-    /// Disk-cached variant of [`Characterizer::library`]: libraries are
-    /// stored as Liberty-subset text under `dir`, keyed by a content hash
-    /// of the **full** characterization input — scenario (λ grid point,
-    /// lifetime, environment, BTI models), OPC axes *values*, accuracy and
-    /// every cell definition — so any input change, including grid values
-    /// at unchanged grid shape, re-characterizes instead of returning a
-    /// stale library.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CharError::Io`] for cache-directory failures and
-    /// propagates characterization errors; a corrupt cache entry is
-    /// re-characterized and overwritten.
-    pub fn library_cached(
-        &self,
-        dir: &Path,
-        scenario: &AgingScenario,
-    ) -> Result<Library, CharError> {
-        let io = |e: std::io::Error| CharError::Io {
-            path: dir.display().to_string(),
-            message: e.to_string(),
-        };
-        std::fs::create_dir_all(dir).map_err(io)?;
-        let key = format!("lib_{}_{:016x}.lib", scenario.index_tag(), self.library_key(scenario));
-        let path = dir.join(key);
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Ok(lib) = parse_library(&text) {
-                if lib.len() == self.cells.len() {
-                    return Ok(lib);
-                }
-            }
-        }
-        let lib = self.library(scenario)?;
-        std::fs::write(&path, write_library(&lib)).map_err(io)?;
-        Ok(lib)
-    }
-
-    /// Content hash of everything that determines [`Characterizer::library`]
-    /// output for `scenario` (deliberately excluding `parallelism`, which is
-    /// result-invariant).
-    fn library_key(&self, scenario: &AgingScenario) -> u64 {
-        let mut h = KeyHasher::new();
-        h.str("reliaware-lib-v1").str(&format!("{scenario:?}"));
-        self.hash_config(&mut h);
-        self.hash_variation(&mut h);
-        h.u64(self.cells.len() as u64);
-        for def in self.cells.iter() {
-            h.str(&format!("{def:?}"));
-        }
-        h.finish()
     }
 
     /// Feeds the active variation (spread parameters and die seed) into
@@ -1096,39 +972,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cache_round_trips() {
-        let dir = std::env::temp_dir().join("reliaware_test_cache");
-        let _ = std::fs::remove_dir_all(&dir);
-        let chars =
-            Characterizer::new(CellSet::nangate45_like().subset(&["INV_X1"]), tiny_config())
-                .unwrap();
-        let scenario = AgingScenario::worst_case(10.0);
-        let first = chars.library_cached(&dir, &scenario).unwrap();
-        let second = chars.library_cached(&dir, &scenario).unwrap();
-        assert_eq!(first, second);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Regression: the disk key used to encode only the *lengths* of the
     /// OPC axes, so changing grid values at unchanged counts silently
-    /// returned the stale library.
+    /// returned the stale entry. The table axes come from the config, so
+    /// only the cache counters can tell a stale hit from a fresh run.
     #[test]
     fn cache_key_tracks_grid_values_not_just_shape() {
-        let dir = std::env::temp_dir().join("reliaware_test_cache_values");
+        let dir = std::env::temp_dir()
+            .join(format!("reliaware_test_cache_values_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cells = || CellSet::nangate45_like().subset(&["INV_X1"]);
         let scenario = AgingScenario::worst_case(10.0);
-        let first = Characterizer::new(cells(), tiny_config()).unwrap();
-        let _ = first.library_cached(&dir, &scenario).unwrap();
+        let on_disk = |config: CharConfig| {
+            let cache = Arc::new(ArcCache::with_dir(&dir));
+            let chars = Characterizer::new(cells(), config).unwrap().with_cache(Arc::clone(&cache));
+            chars.library(&scenario).unwrap();
+            cache.stats()
+        };
+        assert!(on_disk(tiny_config()).misses > 0, "cold directory");
+        assert_eq!(on_disk(tiny_config()).misses, 0, "same grid must replay from disk");
         // Same axis lengths, different values.
         let moved =
             CharConfig { slews: vec![20e-12, 500e-12], loads: vec![2e-15, 8e-15], ..tiny_config() };
-        let second = Characterizer::new(cells(), moved.clone()).unwrap();
-        let lib = second.library_cached(&dir, &scenario).unwrap();
-        let arc = lib.cell("INV_X1").unwrap().output("Y").unwrap().arc_from("A").unwrap();
-        assert_eq!(arc.cell_rise.slew_axis(), &moved.slews[..], "stale cache entry returned");
-        assert_eq!(arc.cell_rise.load_axis(), &moved.loads[..], "stale cache entry returned");
+        assert!(on_disk(moved).misses > 0, "stale cache entry returned");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1513,100 +1379,5 @@ mod tests {
         let report = ctx.report();
         let unmeasured = report.stages.iter().find(|s| s.name == "unmeasured_edges").unwrap();
         assert_eq!(unmeasured.tasks, 2, "one rising and one falling edge");
-    }
-
-    /// A two-inverter chain exercising the full `mc_lifetime` contract.
-    fn inv_chain() -> Netlist {
-        use netlist::PortDir;
-        let mut nl = Netlist::new("chain");
-        let a = nl.add_port("a", PortDir::Input);
-        let y = nl.add_port("y", PortDir::Output);
-        let m = nl.add_net("m");
-        nl.add_instance("u0", "INV_X1", &[("A", a), ("Y", m)]);
-        nl.add_instance("u1", "INV_X1", &[("A", m), ("Y", y)]);
-        nl
-    }
-
-    /// `mc_lifetime` must be a pure function of the sampling plan:
-    /// bit-identical across worker counts and cache states, and a
-    /// variation-free characterizer must reproduce the deterministic
-    /// static bound in every sample.
-    #[test]
-    fn mc_lifetime_is_bit_identical_across_worker_counts() {
-        let cells = || CellSet::nangate45_like().subset(&["INV_X1"]);
-        let scenario = AgingScenario::fresh();
-        let library = Characterizer::new(cells(), tiny_config()).unwrap();
-        let library = library.library(&scenario).unwrap();
-        let nl = inv_chain();
-        let lifetime = LifetimeConfig::default();
-        let df = DataflowConfig::default();
-
-        let run = |workers: usize| {
-            Characterizer::new(cells(), CharConfig { parallelism: workers, ..tiny_config() })
-                .unwrap()
-                .with_variation(ptm::VariationModel::nominal_45nm(), 11)
-                .mc_lifetime(&nl, &library, &lifetime, &df, 24)
-                .unwrap()
-        };
-        let one = run(1);
-        for workers in [2, 8] {
-            let other = run(workers);
-            assert_eq!(
-                one.distribution.samples.len(),
-                other.distribution.samples.len(),
-                "sample count must not depend on workers"
-            );
-            for (i, (a, b)) in
-                one.distribution.samples.iter().zip(&other.distribution.samples).enumerate()
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "sample {i} differs at {workers} workers");
-            }
-        }
-        assert!(
-            one.distribution.contains_static_bound(),
-            "sampled MTTFs must stay above the variation-aware static bound: min {} < bound {}",
-            one.distribution.min_years(),
-            one.distribution.static_bound_years
-        );
-
-        // No variation attached → zero-variance plan → every sample is the
-        // deterministic static bound, bit for bit.
-        let zero = Characterizer::new(cells(), tiny_config())
-            .unwrap()
-            .mc_lifetime(&nl, &library, &lifetime, &df, 5)
-            .unwrap();
-        for s in &zero.distribution.samples {
-            assert_eq!(s.to_bits(), zero.report.design_mttf_lo_years.to_bits());
-        }
-        assert!(zero.distribution.contains_static_bound());
-    }
-
-    /// `mc_lifetime` on a context books its fan-out on the `mc_lifetime`
-    /// stage.
-    #[test]
-    fn mc_lifetime_books_context_tasks() {
-        use std::sync::Arc;
-        let ctx = Arc::new(RunContext::new().with_workers(2));
-        let chars = Characterizer::in_context(
-            CellSet::nangate45_like().subset(&["INV_X1"]),
-            tiny_config(),
-            &ctx,
-        )
-        .unwrap()
-        .with_variation(ptm::VariationModel::nominal_45nm(), 3);
-        let library = chars.library(&AgingScenario::fresh()).unwrap();
-        let out = chars
-            .mc_lifetime(
-                &inv_chain(),
-                &library,
-                &LifetimeConfig::default(),
-                &DataflowConfig::default(),
-                6,
-            )
-            .unwrap();
-        assert_eq!(out.distribution.samples.len(), 6);
-        let report = ctx.report();
-        let stage = report.stages.iter().find(|s| s.name == "mc_lifetime").unwrap();
-        assert_eq!(stage.tasks, 6);
     }
 }

@@ -55,13 +55,6 @@ pub enum CharError {
         /// One entry per failed check, sampling-plan checks first.
         problems: Vec<String>,
     },
-    /// A library-cache I/O failure.
-    Io {
-        /// The path involved.
-        path: String,
-        /// The underlying I/O error text.
-        message: String,
-    },
 }
 
 impl fmt::Display for CharError {
@@ -83,7 +76,6 @@ impl fmt::Display for CharError {
             CharError::InvalidLifetimePlan { problems } => {
                 write!(f, "invalid Monte-Carlo lifetime plan: {}", problems.join("; "))
             }
-            CharError::Io { path, message } => write!(f, "{path}: {message}"),
         }
     }
 }

@@ -20,7 +20,8 @@
 //!
 //! [`system_eval`] closes the loop at the system level: it pushes images
 //! through gate-level DCT→IDCT simulations with aged delays and reports
-//! PSNR — the paper's Figs. 6(c) and 7.
+//! PSNR — the paper's Figs. 6(c) and 7. [`variation`] samples the design
+//! MTTF over process-variation dies on top of the static lifetime bound.
 //!
 //! Characterization performance comes from three supporting modules:
 //! [`pool`] (the shared fine-grained task queue all grid walks drain),
@@ -68,12 +69,13 @@ pub mod pool;
 pub mod rng;
 pub mod system_eval;
 pub mod tier0;
+pub mod variation;
 
 pub use aging_synth::{
     compare_synthesis, synthesize_aging_aware, synthesize_best, SynthesisComparison,
 };
 pub use cache::{ArcCache, ArcTables, CacheSnapshot, CacheStats, KeyHasher};
-pub use charlib::{CharConfig, Characterizer, McLifetimeOutcome};
+pub use charlib::{CharConfig, Characterizer};
 pub use coalesce::{CoalesceOutcome, CoalesceStats, Coalescer};
 pub use context::{RunContext, RunEvent, RunReport, StageRecord};
 pub use dynamic::{
@@ -88,3 +90,4 @@ pub use pool::parallel_map;
 pub use rng::Lcg;
 pub use system_eval::{annotation_from_sta, image_from_pgm, run_image_chain, ImageChainResult};
 pub use tier0::{SurrogateTier, TierStats};
+pub use variation::{mc_lifetime, McLifetimeOutcome};

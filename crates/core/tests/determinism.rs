@@ -102,8 +102,8 @@ fn lint_gates_see_identical_cached_and_fresh_libraries() {
     assert_eq!(fresh_report.diagnostics(), cached_report.diagnostics());
     assert_eq!(fresh_report.render(), cached_report.render());
 
-    // And through the Liberty text round trip used by the disk library
-    // cache: still byte-for-byte the same verdicts.
+    // And through the Liberty text round trip that served libraries and
+    // `.lib` files take: still byte-for-byte the same verdicts.
     let round = liberty::parse_library(&liberty::write_library(&cached)).expect("round trip");
     let round_report = LintReport::run_library(&round, &lint_config);
     assert_eq!(fresh_report.diagnostics(), round_report.diagnostics());

@@ -105,18 +105,18 @@ fn for_named_cells_rejects_unknown_names() {
 
 #[test]
 fn mc_lifetime_rejects_an_invalid_plan_without_panicking() {
-    use reliaware::dataflow::{DataflowConfig, LifetimeConfig};
+    use reliaware::dataflow::{DataflowConfig, LifetimeConfig, McSampling};
+    use reliaware::flow::{mc_lifetime, RunContext};
     let lib = fixture_library();
     let mut nl = Netlist::new("inv");
     let a = nl.add_port("a", PortDir::Input);
     let y = nl.add_port("y", PortDir::Output);
     nl.add_instance("u0", "INV_X1", &[("A", a), ("Y", y)]);
-    let chars = Characterizer::new(CellSet::minimal(), CharConfig::fast())
-        .expect("valid config")
-        .with_variation(reliaware::ptm::VariationModel::nominal_45nm(), 1);
+    let ctx = RunContext::new();
     let (lifetime, df) = (LifetimeConfig::default(), DataflowConfig::default());
+    let dies = |samples: usize| McSampling::nominal_45nm(samples, 1);
 
-    let err = chars.mc_lifetime(&nl, &lib, &lifetime, &df, 0).expect_err("zero dies");
+    let err = mc_lifetime(&ctx, &nl, &lib, &lifetime, &df, &dies(0)).expect_err("zero dies");
     assert_eq!(
         err,
         CharError::InvalidLifetimePlan { problems: vec!["sample count must be at least 1".into()] }
@@ -133,7 +133,7 @@ fn mc_lifetime_rejects_an_invalid_plan_without_panicking() {
         temperature_range: (428.15, 398.15),
         ..LifetimeConfig::default()
     };
-    match chars.mc_lifetime(&nl, &lib, &broken, &df, 0) {
+    match mc_lifetime(&ctx, &nl, &lib, &broken, &df, &dies(0)) {
         Err(CharError::InvalidLifetimePlan { problems }) => {
             assert_eq!(problems.len(), 3, "{problems:?}");
             assert!(problems[0].contains("sample count"), "{problems:?}");
@@ -143,7 +143,7 @@ fn mc_lifetime_rejects_an_invalid_plan_without_panicking() {
         other => panic!("expected InvalidLifetimePlan, got {other:?}"),
     }
 
-    let sound = chars.mc_lifetime(&nl, &lib, &lifetime, &df, 2).expect("sound plan");
+    let sound = mc_lifetime(&ctx, &nl, &lib, &lifetime, &df, &dies(2)).expect("sound plan");
     assert_eq!(sound.distribution.samples.len(), 2);
 }
 
