@@ -11,7 +11,7 @@ use crate::error::EvalError;
 use circuits::{fixed, Design};
 use imgproc::{psnr, GrayImage};
 use liberty::Library;
-use logicsim::run_timed;
+use logicsim::{SimError, TimedSim};
 use netlist::{ArcDelays, DelayAnnotation, NetId, Netlist, NetlistError};
 use sta::{analyze, Constraints, StaError};
 use std::collections::HashSet;
@@ -126,11 +126,6 @@ pub fn reference_chain(image: &GrayImage) -> GrayImage {
     out
 }
 
-/// Runs the full gate-level chain: 2-D DCT (rows then columns) through the
-/// DCT netlist, then 2-D IDCT (columns then rows) through the IDCT
-/// netlist, each 1-D transform being one clock cycle of the corresponding
-/// circuit at `period` with delays from the annotations.
-///
 /// Parses PGM bytes into a [`GrayImage`] with a typed flow error — the
 /// image-loading front door of the system-level study.
 ///
@@ -141,10 +136,17 @@ pub fn image_from_pgm(bytes: &[u8]) -> Result<GrayImage, EvalError> {
     Ok(imgproc::parse_pgm(bytes)?)
 }
 
+/// Runs the full gate-level chain: 2-D DCT (rows then columns) through the
+/// DCT netlist, then 2-D IDCT (columns then rows) through the IDCT
+/// netlist, each 1-D transform being one clock cycle of the corresponding
+/// circuit at `period` with delays from the annotations. Each netlist is
+/// compiled once into a [`TimedSim`] that runs both of its passes.
+///
 /// # Errors
 ///
 /// Returns [`EvalError::Design`] for port encode/decode failures and
-/// [`EvalError::Simulation`] for gate-level simulation failures.
+/// [`EvalError::Simulation`] for gate-level simulation failures, among them
+/// a `period` that is not positive and finite.
 #[allow(clippy::too_many_arguments)]
 pub fn run_image_chain(
     image: &GrayImage,
@@ -174,19 +176,23 @@ pub fn run_image_chain(
             blocks.push(s);
         }
     }
+    let sim_error = |e: SimError| EvalError::Simulation { message: e.to_string() };
+    let dct = TimedSim::new(dct_netlist, library, dct_delays, None).map_err(sim_error)?;
+    let idct = TimedSim::new(idct_netlist, library, idct_delays, None).map_err(sim_error)?;
     let mut late_events = 0usize;
 
     // Runs one 1-D pass over every block: `rows = true` transforms rows,
     // otherwise columns. Returns the transformed blocks.
-    let mut pass = |netlist: &Netlist,
+    let mut pass = |sim: &TimedSim,
                     design: &Design,
-                    delays: &DelayAnnotation,
                     blocks: &[[[i64; 8]; 8]],
                     rows: bool,
                     in_prefix: &str,
                     out_prefix: &str|
      -> Result<Vec<[[i64; 8]; 8]>, EvalError> {
         let clamp12 = |v: i64| v.clamp(-2048, 2047);
+        let in_names: Vec<String> = (0..8).map(|j| format!("{in_prefix}{j}")).collect();
+        let out_names: Vec<String> = (0..8).map(|j| format!("{out_prefix}{j}")).collect();
         let mut vectors = Vec::with_capacity(blocks.len() * 8);
         for block in blocks {
             // k indexes rows or columns of `block` depending on `rows`.
@@ -194,9 +200,11 @@ pub fn run_image_chain(
             for k in 0..8 {
                 let lane: [i64; 8] =
                     std::array::from_fn(|j| if rows { block[k][j] } else { block[j][k] });
-                let names: Vec<String> = (0..8).map(|j| format!("{in_prefix}{j}")).collect();
-                let pairs: Vec<(&str, i64)> =
-                    names.iter().enumerate().map(|(j, n)| (n.as_str(), clamp12(lane[j]))).collect();
+                let pairs: Vec<(&str, i64)> = in_names
+                    .iter()
+                    .enumerate()
+                    .map(|(j, n)| (n.as_str(), clamp12(lane[j])))
+                    .collect();
                 vectors.push(
                     design
                         .encode(&pairs)
@@ -204,8 +212,7 @@ pub fn run_image_chain(
                 );
             }
         }
-        let run = run_timed(netlist, library, delays, period, None, &vectors)
-            .map_err(|e| EvalError::Simulation { message: e.to_string() })?;
+        let run = sim.run(period, &vectors).map_err(sim_error)?;
         late_events += run.late_events;
         let mut out = vec![[[0i64; 8]; 8]; blocks.len()];
         for (cycle, bits) in run.outputs.iter().enumerate() {
@@ -215,7 +222,7 @@ pub fn run_image_chain(
             #[allow(clippy::needless_range_loop)]
             for j in 0..8 {
                 let v = design
-                    .decode(bits, &format!("{out_prefix}{j}"))
+                    .decode(bits, &out_names[j])
                     .map_err(|e| EvalError::Design { message: e.to_string() })?;
                 if rows {
                     out[block][k][j] = v;
@@ -228,10 +235,10 @@ pub fn run_image_chain(
     };
 
     // DCT: rows then columns. IDCT: columns then rows.
-    let stage1 = pass(dct_netlist, dct_design, dct_delays, &blocks, true, "x", "y")?;
-    let stage2 = pass(dct_netlist, dct_design, dct_delays, &stage1, false, "x", "y")?;
-    let stage3 = pass(idct_netlist, idct_design, idct_delays, &stage2, false, "y", "x")?;
-    let stage4 = pass(idct_netlist, idct_design, idct_delays, &stage3, true, "y", "x")?;
+    let stage1 = pass(&dct, dct_design, &blocks, true, "x", "y")?;
+    let stage2 = pass(&dct, dct_design, &stage1, false, "x", "y")?;
+    let stage3 = pass(&idct, idct_design, &stage2, false, "y", "x")?;
+    let stage4 = pass(&idct, idct_design, &stage3, true, "y", "x")?;
 
     // Reassemble.
     let mut output = GrayImage::new(image.width(), image.height());

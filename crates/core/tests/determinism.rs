@@ -108,3 +108,32 @@ fn lint_gates_see_identical_cached_and_fresh_libraries() {
     let round_report = LintReport::run_library(&round, &lint_config);
     assert_eq!(fresh_report.diagnostics(), round_report.diagnostics());
 }
+
+/// Synthesis is reproducible: the same AIG and library give byte-identical
+/// Verilog on every call — buffer names and instance order included — and
+/// therefore in every process.
+#[test]
+fn synthesis_gives_byte_identical_verilog() {
+    use netlist::verilog::write_verilog;
+    let fresh = synth::test_fixtures::fixture_library();
+    let aged = synth::test_fixtures::slowed_library(1.3);
+    let options = synth::MapOptions::default();
+    for design in [circuits::dct8(), circuits::risc_5p()] {
+        let mapped = || synth::synthesize(&design.aig, &fresh, &options).expect("synthesis");
+        assert_eq!(
+            write_verilog(&mapped()),
+            write_verilog(&mapped()),
+            "synth::synthesize on {}",
+            design.name
+        );
+        let aware = || {
+            flow::synthesize_aging_aware(&design.aig, &fresh, &aged, &options).expect("synthesis")
+        };
+        assert_eq!(
+            write_verilog(&aware()),
+            write_verilog(&aware()),
+            "flow::synthesize_aging_aware on {}",
+            design.name
+        );
+    }
+}

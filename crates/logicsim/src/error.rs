@@ -3,7 +3,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Errors raised by gate-level simulation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The netlist is structurally broken.
     Netlist(NetlistError),
@@ -31,6 +31,11 @@ pub enum SimError {
         /// The requested clock port.
         port: String,
     },
+    /// A timed run's clock period is not positive and finite.
+    BadPeriod {
+        /// The requested period, in seconds.
+        period: f64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -47,6 +52,9 @@ impl fmt::Display for SimError {
                 write!(f, "input vector has {got} bits, expected {expected}")
             }
             SimError::BadClock { port } => write!(f, "clock port {port} not found among inputs"),
+            SimError::BadPeriod { period } => {
+                write!(f, "clock period {period:e} s is not positive and finite")
+            }
         }
     }
 }
@@ -74,6 +82,7 @@ mod tests {
     fn display() {
         assert!(SimError::VectorWidth { expected: 4, got: 2 }.to_string().contains("2 bits"));
         assert!(SimError::BadClock { port: "ck".into() }.to_string().contains("ck"));
+        assert!(SimError::BadPeriod { period: -1e-9 }.to_string().contains("-1e-9 s"));
         let e: SimError = NetlistError::Parse { line: 1, message: "x".into() }.into();
         assert!(e.source().is_some());
     }

@@ -4,6 +4,7 @@
 use crate::SimError;
 use liberty::{CellClass, Library};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A cell compiled for simulation.
 #[derive(Debug, Clone)]
@@ -26,10 +27,10 @@ impl CompiledCell {
     }
 }
 
-/// All cells of a library, compiled once.
+/// All cells of a library, compiled once and shared by their instances.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledLib {
-    pub cells: HashMap<String, CompiledCell>,
+    pub cells: HashMap<String, Arc<CompiledCell>>,
 }
 
 impl CompiledLib {
@@ -53,7 +54,7 @@ impl CompiledLib {
                 CellClass::Flop { clock, data, .. } => Some((clock.clone(), data.clone())),
                 CellClass::Combinational => None,
             };
-            cells.insert(cell.name.clone(), CompiledCell { inputs, outputs, flop });
+            cells.insert(cell.name.clone(), Arc::new(CompiledCell { inputs, outputs, flop }));
         }
         Ok(CompiledLib { cells })
     }

@@ -7,12 +7,14 @@
 //!    signal probabilities, from which [`ActivityStats::lambda_of`] derives
 //!    the average pMOS/nMOS duty cycles of every instance — the input to
 //!    netlist λ-annotation for *dynamic aging stress*.
-//! 2. **Timing-error injection** (Sec. 5): [`run_timed`] is an event-driven
+//! 2. **Timing-error injection** (Sec. 5): [`TimedSim`] is an event-driven
 //!    simulator using per-arc delays from a [`netlist::DelayAnnotation`]
 //!    (produced by STA under a chosen aging scenario). Flip-flops and
 //!    primary outputs sample at each clock edge, so any path slower than
 //!    the period corrupts real data — exactly how aging destroys the
-//!    paper's DCT→IDCT image pipeline.
+//!    paper's DCT→IDCT image pipeline. [`TimedSim::new`] compiles a
+//!    netlist with its delays once; [`TimedSim::run`] then simulates any
+//!    number of vector sets, and [`run_timed`] is the one-shot form.
 //!
 //! # Example: zero-delay truth check
 //!
@@ -39,10 +41,12 @@ mod activity;
 mod error;
 mod eval;
 mod structure;
+#[cfg(test)]
+mod test_cells;
 mod timed;
 mod zero_delay;
 
 pub use activity::ActivityStats;
 pub use error::SimError;
-pub use timed::{run_timed, TimedRun};
+pub use timed::{run_timed, TimedRun, TimedSim};
 pub use zero_delay::{run_cycles, CycleRun};

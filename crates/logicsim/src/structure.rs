@@ -66,7 +66,7 @@ impl SimStructure {
         let mut net_sinks: Vec<Vec<(usize, usize)>> = vec![Vec::new(); netlist.net_count()];
         let mut flops = Vec::new();
         for (k, inst) in netlist.instances().iter().enumerate() {
-            let cell = Arc::new(compiled.cells[&inst.cell].clone());
+            let cell = Arc::clone(&compiled.cells[&inst.cell]);
             let input_nets: Vec<NetId> = cell
                 .inputs
                 .iter()

@@ -10,7 +10,7 @@
 use crate::structure::SimStructure;
 use crate::SimError;
 use liberty::Library;
-use netlist::{DelayAnnotation, InstId, Netlist};
+use netlist::{ArcDelays, DelayAnnotation, InstId, Netlist};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -27,12 +27,11 @@ pub struct TimedRun {
 #[derive(Debug, PartialEq)]
 struct Event {
     time: f64,
+    /// Scheduling order: breaks time ties first-in first-out, and marks
+    /// the event stale once a later one is scheduled on its net.
     seq: u64,
     net: usize,
     value: bool,
-    /// Net-schedule version for inertial-delay preemption: an event is
-    /// dropped if a newer transition was scheduled on its net after it.
-    version: u64,
 }
 
 impl Eq for Event {}
@@ -49,22 +48,209 @@ impl PartialOrd for Event {
     }
 }
 
-/// Simulates `vectors` at clock period `period` with the per-arc delays of
-/// `delays` (unannotated arcs default to zero delay).
+/// A netlist compiled once for event-driven timing simulation under one
+/// delay annotation.
 ///
-/// Per cycle `k`: at `t = k·period` the inputs take vector `k` and the
-/// flops drive their captured state through their clk→Q delay; events then
-/// propagate through the combinational network; just before
-/// `t = (k+1)·period` the primary outputs are sampled and the flops capture
-/// whatever value their data nets hold *at that instant* — settled or not.
+/// [`TimedSim::new`] validates the netlist, compiles its cells, orders its
+/// combinational logic, settles the initial state and resolves every arc
+/// delay of the annotation into a dense per-instance table, so
+/// [`TimedSim::run`] looks up no names. Every run resets all per-run state,
+/// so runs on one `TimedSim` give exactly what fresh [`run_timed`] calls
+/// give.
+#[derive(Debug, Clone)]
+pub struct TimedSim {
+    s: SimStructure,
+    /// Per instance: index of its first entry in `arcs`. A combinational
+    /// instance has one row per input position, a flop one clk→Q row; each
+    /// row holds one entry per output position.
+    arc_base: Vec<usize>,
+    /// Arc delays, unannotated arcs at zero.
+    arcs: Vec<ArcDelays>,
+    /// Net values with all inputs low and all flops at 0, settled with
+    /// zero delays: where every run starts.
+    settled: Vec<bool>,
+}
+
+impl TimedSim {
+    /// Compiles `netlist` against `library` with the per-arc delays of
+    /// `delays` (unannotated arcs default to zero delay). `clock_port`
+    /// names the clock input, which takes no vector bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] for broken netlists, combinational loops or an
+    /// unknown clock port.
+    pub fn new(
+        netlist: &Netlist,
+        library: &Library,
+        delays: &DelayAnnotation,
+        clock_port: Option<&str>,
+    ) -> Result<Self, SimError> {
+        let s = SimStructure::build(netlist, library, clock_port)?;
+        let mut arc_base = Vec::with_capacity(s.insts.len());
+        let mut arcs = Vec::new();
+        for (k, inst) in s.insts.iter().enumerate() {
+            arc_base.push(arcs.len());
+            let id = InstId::from_index(k);
+            let rows: &[String] = match &inst.cell.flop {
+                Some((clock, _)) => std::slice::from_ref(clock),
+                None => &inst.cell.inputs,
+            };
+            for from in rows {
+                for (to, _) in &inst.cell.outputs {
+                    arcs.push(
+                        delays.get(id, from, to).unwrap_or(ArcDelays { rise: 0.0, fall: 0.0 }),
+                    );
+                }
+            }
+        }
+        // Settle the initial state with zero delays so event propagation
+        // starts from a consistent network.
+        let mut settled = vec![false; s.n_nets];
+        for &k in &s.comb_order {
+            let row = s.input_row(k, &settled);
+            let inst = &s.insts[k];
+            for (o, net) in inst.output_nets.iter().enumerate() {
+                if let Some(net) = net {
+                    settled[net.index()] = inst.cell.eval(o, row);
+                }
+            }
+        }
+        Ok(TimedSim { s, arc_base, arcs, settled })
+    }
+
+    /// The delay of instance `k`'s arc from row `row` (input position, or
+    /// 0 for a flop's clk→Q row) to output position `o`, for a rising or
+    /// falling output.
+    #[inline]
+    fn delay(&self, k: usize, row: usize, o: usize, rising: bool) -> f64 {
+        let arc = self.arcs[self.arc_base[k] + row * self.s.insts[k].output_nets.len() + o];
+        if rising {
+            arc.rise
+        } else {
+            arc.fall
+        }
+    }
+
+    /// Simulates `vectors` at clock period `period`.
+    ///
+    /// Per cycle `k`: at `t = k·period` the inputs take vector `k` and the
+    /// flops drive their captured state through their clk→Q delay; events
+    /// then propagate through the combinational network; just before
+    /// `t = (k+1)·period` the primary outputs are sampled and the flops
+    /// capture whatever value their data nets hold *at that instant* —
+    /// settled or not.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::BadPeriod`] if `period` is not positive and
+    /// finite, and [`SimError::VectorWidth`] for mis-sized vectors.
+    pub fn run(&self, period: f64, vectors: &[Vec<bool>]) -> Result<TimedRun, SimError> {
+        if !(period.is_finite() && period > 0.0) {
+            return Err(SimError::BadPeriod { period });
+        }
+        let s = &self.s;
+        let mut value = self.settled.clone();
+        let mut target = value.clone();
+        let mut queue: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        // Inertial-delay preemption: the latest scheduled transition per
+        // net (by `seq`, 0 = none yet) invalidates all earlier pending ones
+        // (narrow pulses are swallowed).
+        let mut latest = vec![0u64; s.n_nets];
+        let mut flop_state = vec![false; s.flops.len()];
+        let mut outputs = Vec::with_capacity(vectors.len());
+        let mut late_events = 0usize;
+
+        let mut schedule = |queue: &mut BinaryHeap<Reverse<Event>>,
+                            latest: &mut Vec<u64>,
+                            time: f64,
+                            net: usize,
+                            v: bool| {
+            seq += 1;
+            latest[net] = seq;
+            queue.push(Reverse(Event { time, seq, net, value: v }));
+        };
+
+        for (cycle, vector) in vectors.iter().enumerate() {
+            if vector.len() != s.inputs.len() {
+                return Err(SimError::VectorWidth { expected: s.inputs.len(), got: vector.len() });
+            }
+            let t_edge = cycle as f64 * period;
+            let t_sample = (cycle as f64 + 1.0) * period;
+
+            // Apply inputs at the edge.
+            for (net, &v) in s.inputs.iter().zip(vector) {
+                if target[net.index()] != v {
+                    target[net.index()] = v;
+                    schedule(&mut queue, &mut latest, t_edge, net.index(), v);
+                }
+            }
+            // Flops drive captured state after clk→Q.
+            for (fi, &k) in s.flops.iter().enumerate() {
+                for (o, net) in s.insts[k].output_nets.iter().enumerate() {
+                    let Some(net) = net else { continue };
+                    let v = flop_state[fi];
+                    if target[net.index()] != v {
+                        target[net.index()] = v;
+                        let d = self.delay(k, 0, o, v);
+                        schedule(&mut queue, &mut latest, t_edge + d, net.index(), v);
+                    }
+                }
+            }
+
+            // Drain events strictly before the sampling edge.
+            while queue.peek().is_some_and(|Reverse(e)| e.time < t_sample) {
+                let Some(Reverse(e)) = queue.pop() else { break };
+                if e.seq != latest[e.net] || value[e.net] == e.value {
+                    continue;
+                }
+                value[e.net] = e.value;
+                // An instance with several inputs on this net is listed
+                // once per input, in position order: the first listing
+                // schedules, so the delay is that of the first such pin.
+                for &(k, pos) in &s.net_sinks[e.net] {
+                    let inst = &s.insts[k];
+                    if inst.is_flop {
+                        continue; // flops sample only at the clock edge
+                    }
+                    let row = s.input_row(k, &value);
+                    for (o, out_net) in inst.output_nets.iter().enumerate() {
+                        let Some(out_net) = out_net else { continue };
+                        let new = inst.cell.eval(o, row);
+                        if target[out_net.index()] != new {
+                            target[out_net.index()] = new;
+                            let d = self.delay(k, pos, o, new);
+                            schedule(&mut queue, &mut latest, e.time + d, out_net.index(), new);
+                        }
+                    }
+                }
+            }
+            late_events += queue
+                .iter()
+                .filter(|Reverse(e)| e.seq == latest[e.net] && e.value != value[e.net])
+                .count();
+
+            // Sample primary outputs and capture flop data at the edge.
+            outputs.push(s.outputs.iter().map(|n| value[n.index()]).collect());
+            for (fi, &k) in s.flops.iter().enumerate() {
+                if let Some(pos) = s.insts[k].data_pos {
+                    flop_state[fi] = value[s.insts[k].input_nets[pos].index()];
+                }
+            }
+        }
+        Ok(TimedRun { outputs, late_events })
+    }
+}
+
+/// Simulates `vectors` at clock period `period` with the per-arc delays of
+/// `delays`: compiles a [`TimedSim`] and runs it once (see
+/// [`TimedSim::run`] for the cycle semantics).
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for broken netlists, loops or mis-sized vectors.
-///
-/// # Panics
-///
-/// Panics if `period` is not positive and finite.
+/// Returns [`SimError`] for broken netlists, loops, mis-sized vectors or a
+/// period that is not positive and finite.
 pub fn run_timed(
     netlist: &Netlist,
     library: &Library,
@@ -73,126 +259,7 @@ pub fn run_timed(
     clock_port: Option<&str>,
     vectors: &[Vec<bool>],
 ) -> Result<TimedRun, SimError> {
-    assert!(period.is_finite() && period > 0.0, "clock period must be positive");
-    let s = SimStructure::build(netlist, library, clock_port)?;
-    // Settle the initial state (all inputs low, flops at 0) with zero
-    // delays so event propagation starts from a consistent network.
-    let mut value = vec![false; s.n_nets];
-    for &k in &s.comb_order {
-        let row = s.input_row(k, &value);
-        let inst = &s.insts[k];
-        for (o, net) in inst.output_nets.iter().enumerate() {
-            if let Some(net) = net {
-                value[net.index()] = inst.cell.eval(o, row);
-            }
-        }
-    }
-    let mut target = value.clone();
-    let mut queue: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    // Inertial-delay preemption: the latest scheduled transition per net
-    // invalidates all earlier pending ones (narrow pulses are swallowed).
-    let mut version = vec![0u64; s.n_nets];
-    let mut flop_state = vec![false; s.flops.len()];
-    let mut outputs = Vec::with_capacity(vectors.len());
-    let mut late_events = 0usize;
-
-    let mut schedule = |queue: &mut BinaryHeap<Reverse<Event>>,
-                        version: &mut Vec<u64>,
-                        time: f64,
-                        net: usize,
-                        v: bool| {
-        seq += 1;
-        version[net] += 1;
-        queue.push(Reverse(Event { time, seq, net, value: v, version: version[net] }));
-    };
-
-    for (cycle, vector) in vectors.iter().enumerate() {
-        if vector.len() != s.inputs.len() {
-            return Err(SimError::VectorWidth { expected: s.inputs.len(), got: vector.len() });
-        }
-        let t_edge = cycle as f64 * period;
-        let t_sample = (cycle as f64 + 1.0) * period;
-
-        // Apply inputs at the edge.
-        for (net, &v) in s.inputs.iter().zip(vector) {
-            if target[net.index()] != v {
-                target[net.index()] = v;
-                schedule(&mut queue, &mut version, t_edge, net.index(), v);
-            }
-        }
-        // Flops drive captured state after clk→Q.
-        for (fi, &k) in s.flops.iter().enumerate() {
-            let inst = &s.insts[k];
-            for (o, net) in inst.output_nets.iter().enumerate() {
-                let Some(net) = net else { continue };
-                let v = flop_state[fi];
-                if target[net.index()] != v {
-                    target[net.index()] = v;
-                    let (in_pin, out_pin) = (
-                        inst.cell.flop.as_ref().expect("flop").0.clone(),
-                        inst.cell.outputs[o].0.clone(),
-                    );
-                    let d = delays.get(InstId::from_index(k), &in_pin, &out_pin).map_or(0.0, |a| {
-                        if v {
-                            a.rise
-                        } else {
-                            a.fall
-                        }
-                    });
-                    schedule(&mut queue, &mut version, t_edge + d, net.index(), v);
-                }
-            }
-        }
-
-        // Drain events strictly before the sampling edge.
-        while queue.peek().is_some_and(|Reverse(e)| e.time < t_sample) {
-            let Reverse(e) = queue.pop().expect("peeked");
-            if e.version != version[e.net] || value[e.net] == e.value {
-                continue;
-            }
-            value[e.net] = e.value;
-            for &(k, _pos) in &s.net_sinks[e.net] {
-                let inst = &s.insts[k];
-                if inst.is_flop {
-                    continue; // flops sample only at the clock edge
-                }
-                let row = s.input_row(k, &value);
-                for (o, out_net) in inst.output_nets.iter().enumerate() {
-                    let Some(out_net) = out_net else { continue };
-                    let new = inst.cell.eval(o, row);
-                    if target[out_net.index()] != new {
-                        target[out_net.index()] = new;
-                        // Delay of the arc from the pin that just changed.
-                        let in_pin = inst
-                            .input_nets
-                            .iter()
-                            .position(|n| n.index() == e.net)
-                            .map(|p| inst.cell.inputs[p].clone())
-                            .unwrap_or_default();
-                        let out_pin = &inst.cell.outputs[o].0;
-                        let d = delays
-                            .get(InstId::from_index(k), &in_pin, out_pin)
-                            .map_or(0.0, |a| if new { a.rise } else { a.fall });
-                        schedule(&mut queue, &mut version, e.time + d, out_net.index(), new);
-                    }
-                }
-            }
-        }
-        late_events += queue
-            .iter()
-            .filter(|Reverse(e)| e.version == version[e.net] && e.value != value[e.net])
-            .count();
-
-        // Sample primary outputs and capture flop data at the edge.
-        outputs.push(s.outputs.iter().map(|n| value[n.index()]).collect());
-        for (fi, &k) in s.flops.iter().enumerate() {
-            if let Some(pos) = s.insts[k].data_pos {
-                flop_state[fi] = value[s.insts[k].input_nets[pos].index()];
-            }
-        }
-    }
-    Ok(TimedRun { outputs, late_events })
+    TimedSim::new(netlist, library, delays, clock_port)?.run(period, vectors)
 }
 
 #[cfg(test)]
@@ -270,9 +337,75 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_period_panics() {
+    fn bad_period_is_a_typed_error() {
         let nl = chain(1);
-        let _ = run_timed(&nl, &lib(), &DelayAnnotation::new(), 0.0, None, &[vec![true]]);
+        let sim = TimedSim::new(&nl, &lib(), &DelayAnnotation::new(), None).unwrap();
+        for period in [0.0, -1e-9, f64::NAN, f64::INFINITY] {
+            for result in [
+                sim.run(period, &[vec![true]]),
+                run_timed(&nl, &lib(), &DelayAnnotation::new(), period, None, &[vec![true]]),
+            ] {
+                match result {
+                    Err(SimError::BadPeriod { period: p }) => {
+                        assert_eq!(p.to_bits(), period.to_bits());
+                    }
+                    other => panic!("period {period}: expected BadPeriod, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// `q` samples the flop's output: it lags `d` by one cycle while the
+    /// clk→Q delay fits the period, and misses edges once it does not.
+    #[test]
+    fn flop_outputs_take_the_clk_to_q_delay() {
+        let lib = crate::test_cells::lib();
+        let mut nl = Netlist::new("ff");
+        let clk = nl.add_port("clk", PortDir::Input);
+        let d = nl.add_port("d", PortDir::Input);
+        let q = nl.add_port("q", PortDir::Output);
+        let ff = nl.add_instance("ff", "DFF_X1", &[("D", d), ("CK", clk), ("Q", q)]);
+        let vectors: Vec<Vec<bool>> = [true, false, true, true, false].map(|b| vec![b]).into();
+        let golden = run_cycles(&nl, &lib, Some("clk"), &vectors).unwrap();
+        let with_clk_q = |d: f64| {
+            let mut ann = DelayAnnotation::new();
+            ann.set(ff, "CK", "Q", ArcDelays { rise: d, fall: d });
+            TimedSim::new(&nl, &lib, &ann, Some("clk")).unwrap()
+        };
+
+        let fast = with_clk_q(300e-12);
+        let run = fast.run(1e-9, &vectors).unwrap();
+        assert_eq!(run.outputs, golden.outputs);
+        assert_eq!(run.late_events, 0);
+        assert_eq!(fast.run(1e-9, &vectors).unwrap(), run, "runs reset all state");
+
+        let slow = with_clk_q(1.5e-9).run(1e-9, &vectors).unwrap();
+        assert_ne!(slow.outputs, golden.outputs);
+        assert!(slow.late_events > 0);
+    }
+
+    /// A NAND with both inputs on one net is an inverter; a change on that
+    /// net takes the delay of the first pin connected to it, A.
+    #[test]
+    fn shared_input_net_takes_the_first_pins_delay() {
+        let lib = crate::test_cells::lib();
+        let mut nl = Netlist::new("shared");
+        let a = nl.add_port("a", PortDir::Input);
+        let y = nl.add_port("y", PortDir::Output);
+        let g = nl.add_instance("g", "NAND2_X1", &[("A", a), ("B", a), ("Y", y)]);
+        let vectors: Vec<Vec<bool>> = (0..6).map(|k| vec![k % 2 == 0]).collect();
+        let golden = run_cycles(&nl, &lib, None, &vectors).unwrap();
+        let run = |a_delay: f64, b_delay: f64| {
+            let mut ann = DelayAnnotation::new();
+            ann.set(g, "A", "Y", ArcDelays { rise: a_delay, fall: a_delay });
+            ann.set(g, "B", "Y", ArcDelays { rise: b_delay, fall: b_delay });
+            run_timed(&nl, &lib, &ann, 500e-12, None, &vectors).unwrap()
+        };
+        let fast_a = run(100e-12, 700e-12);
+        assert_eq!(fast_a.outputs, golden.outputs);
+        assert_eq!(fast_a.late_events, 0);
+        let slow_a = run(700e-12, 100e-12);
+        assert_ne!(slow_a.outputs, golden.outputs);
+        assert!(slow_a.late_events > 0);
     }
 }

@@ -62,6 +62,45 @@ proptest! {
         prop_assert_eq!(timed.late_events, 0);
     }
 
+    /// One compiled simulator serves any number of runs: two vector sets
+    /// run back to back on one `TimedSim`, at a generous and at a tight
+    /// period, give exactly what fresh `run_timed` calls give.
+    #[test]
+    fn timed_sim_runs_equal_fresh_run_timed_calls(
+        choices in prop::collection::vec(any::<usize>(), 1..20),
+        delays in prop::collection::vec(1e-12f64..60e-12, 1..5),
+        first in prop::collection::vec(any::<bool>(), 1..16),
+        second in prop::collection::vec(any::<bool>(), 1..16),
+    ) {
+        let nl = random_dag(&choices);
+        let lib = lib();
+        let ann = annotate(&nl, &delays);
+        // Every run starts from the settled all-low state, so a leading
+        // `true` toggles the input in each set's first cycle.
+        let sets: Vec<Vec<Vec<bool>>> = [first, second]
+            .into_iter()
+            .map(|bits| std::iter::once(true).chain(bits).map(|b| vec![b]).collect())
+            .collect();
+        let max_delay = delays.iter().copied().fold(0.0, f64::max);
+        let generous = (nl.instance_count() as f64 + 2.0) * max_delay + 1e-9;
+        let tight = 0.5 * delays.iter().copied().fold(f64::INFINITY, f64::min);
+        let sim = logicsim::TimedSim::new(&nl, &lib, &ann, None).expect("compile");
+        for period in [generous, tight] {
+            for vectors in &sets {
+                let reused = sim.run(period, vectors).expect("timed");
+                let fresh =
+                    logicsim::run_timed(&nl, &lib, &ann, period, None, vectors).expect("timed");
+                prop_assert_eq!(&reused.outputs, &fresh.outputs);
+                prop_assert_eq!(reused.late_events, fresh.late_events);
+                if period == tight {
+                    prop_assert!(fresh.late_events > 0, "a tight clock leaves events late");
+                } else {
+                    prop_assert_eq!(fresh.late_events, 0);
+                }
+            }
+        }
+    }
+
     /// Signal probabilities are proper frequencies: P ∈ [0,1], and an
     /// inverter's output probability complements its input's.
     #[test]

@@ -200,6 +200,9 @@ pub fn k_worst_paths(
     vertices.dedup();
     let mut out_degree: HashMap<Vertex, usize> = HashMap::new();
     let mut reverse_adj: HashMap<Vertex, Vec<Vertex>> = HashMap::new();
+    // Order-free: `reverse_adj` only feeds the peel below, and the suffix
+    // maxima do not depend on which topological order it finds.
+    #[allow(clippy::iter_over_hash_type)]
     for (from, edges) in &adjacency {
         out_degree.insert(*from, edges.len());
         for e in edges {
@@ -241,6 +244,8 @@ pub fn k_worst_paths(
 
     // Best-first expansion from the sources.
     let mut heap: BinaryHeap<Partial> = BinaryHeap::new();
+    // Order-free: the heap breaks priority ties on the path key.
+    #[allow(clippy::iter_over_hash_type)]
     for v in adjacency.keys() {
         if has_incoming.contains(v) {
             continue;

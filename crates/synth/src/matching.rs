@@ -7,7 +7,7 @@
 //! mapper's dual-phase dynamic programming.
 
 use liberty::{Cell, CellClass, Library};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// One way to realize a boolean function with a library cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,8 +112,11 @@ impl MatchLibrary {
         let est_load = EST_FANOUT * est_cap + library.wire_cap_per_fanout * EST_FANOUT;
         let slew = library.default_input_slew;
 
-        // Pick the representative (min input-cap) cell per family.
-        let mut representative: HashMap<String, &Cell> = HashMap::new();
+        // Pick the representative (min input-cap) cell per family. Families
+        // are visited in name order, which decides `buffer`, `const_low`,
+        // ties between inverters and the order of each truth table's
+        // matches — and thus the mapper's tie-breaks.
+        let mut representative: BTreeMap<String, &Cell> = BTreeMap::new();
         for cell in library.cells() {
             if cell.is_sequential() || cell.outputs.len() != 1 || cell.inputs.is_empty() {
                 continue;

@@ -8,23 +8,32 @@
 use crate::matching::family_name;
 use crate::{MapOptions, SynthError};
 use liberty::Library;
-use netlist::{InstId, NetId, Netlist};
+use netlist::{InstId, NetId, Netlist, NetlistError};
 use sta::{Constraints, IncrementalSta};
 use std::collections::HashMap;
 
 /// Splits nets whose fanout exceeds `max_fanout` by inserting buffer trees.
 ///
+/// Overloaded nets are worked in `NetId` order against one per-net sink
+/// table that is updated in place as buffers go in; a net is revisited
+/// until its fanout fits. Buffer names and instance order thus follow from
+/// the netlist alone, so the same netlist and library always give the same
+/// result. A buffer is named `fob<branch net index>`, or the next unused
+/// `fob<k>` if that name is taken.
+///
 /// # Errors
 ///
-/// Returns [`SynthError::NoInverter`] when the library offers neither a
-/// buffer nor an inverter to build one from.
+/// Returns [`SynthError::Sta`] carrying [`NetlistError::UnknownCell`] if an
+/// instance references a cell missing from `library`, whether or not the
+/// library has a buffer cell.
 pub fn buffer_fanout(
     nl: &mut Netlist,
     library: &Library,
     max_fanout: usize,
 ) -> Result<(), SynthError> {
     let max_fanout = max_fanout.max(2);
-    let buffer = library
+    let mut sinks = sink_table(nl, library)?;
+    let Some((buf_cell, in_pin, out_pin)) = library
         .cells()
         .find(|c| {
             !c.is_sequential()
@@ -32,48 +41,67 @@ pub fn buffer_fanout(
                 && c.outputs.len() == 1
                 && c.outputs[0].function == liberty::BoolExpr::var(&c.inputs[0].name)
         })
-        .map(|c| (c.name.clone(), c.inputs[0].name.clone(), c.outputs[0].name.clone()));
+        .map(|c| (c.name.as_str(), c.inputs[0].name.as_str(), c.outputs[0].name.as_str()))
+    else {
+        // Without a buffer cell, leave every net alone (inverter pairs
+        // would double delay on every branch); sizing will upsize the
+        // driver instead.
+        return Ok(());
+    };
 
-    loop {
-        let sinks = nl.sinks(library)?;
-        // Pick one overloaded net per iteration (rebuilding maps after edit).
-        let overloaded = sinks
-            .iter()
-            .find_map(|(net, pins)| (pins.len() > max_fanout).then_some((*net, pins.clone())));
-        let Some((net, pins)) = overloaded else { break };
-        let Some((buf_cell, in_pin, out_pin)) = buffer.clone() else {
-            // Without a buffer cell, leave the net alone (inverter pairs
-            // would double delay on every branch); sizing will upsize the
-            // driver instead.
-            break;
-        };
+    let mut net = 0;
+    while net < sinks.len() {
+        if sinks[net].len() <= max_fanout {
+            net += 1;
+            continue;
+        }
         // Move every sink group behind a fresh buffer. The buffers' own
         // input pins become the net's only sinks (⌈n/max⌉ < n of them), so
-        // the loop strictly reduces fanout and terminates.
-        for group in pins.chunks(max_fanout).collect::<Vec<_>>() {
+        // each revisit strictly reduces the fanout and the walk terminates.
+        let pins = std::mem::take(&mut sinks[net]);
+        for group in pins.chunks(max_fanout) {
             let branch = nl.add_anonymous_net("fobuf");
-            let name = format!("fob{}", branch.index());
-            nl.add_instance(
+            let mut k = branch.index();
+            let name = loop {
+                let candidate = format!("fob{k}");
+                if nl.find_instance(&candidate).is_none() {
+                    break candidate;
+                }
+                k += 1;
+            };
+            let buffer = nl.add_instance(
                 &name,
-                &buf_cell,
-                &[(in_pin.as_str(), net), (out_pin.as_str(), branch)],
+                buf_cell,
+                &[(in_pin, NetId::from_index(net)), (out_pin, branch)],
             );
-            for (inst, pin) in group {
-                move_connection(nl, *inst, pin, branch);
+            for &(inst, conn) in group {
+                nl.instance_mut(inst).connections[conn].1 = branch;
             }
+            sinks[net].push((buffer, 0));
+            sinks.resize_with(nl.net_count(), Vec::new);
+            sinks[branch.index()] = group.to_vec();
         }
     }
     Ok(())
 }
 
-fn move_connection(nl: &mut Netlist, inst: InstId, pin: &str, to: NetId) {
-    let instance = nl.instance_mut(inst);
-    for (p, n) in &mut instance.connections {
-        if p == pin {
-            *n = to;
-            return;
+/// Per net, its sinks as `(instance, connection index)` in instance and
+/// connection order — the order [`Netlist::sinks`] lists them in.
+fn sink_table(nl: &Netlist, library: &Library) -> Result<Vec<Vec<(InstId, usize)>>, SynthError> {
+    let mut table = vec![Vec::new(); nl.net_count()];
+    for id in nl.instance_ids() {
+        let inst = nl.instance(id);
+        let cell = library.cell(&inst.cell).ok_or_else(|| NetlistError::UnknownCell {
+            instance: inst.name.clone(),
+            cell: inst.cell.clone(),
+        })?;
+        for (conn, (pin, net)) in inst.connections.iter().enumerate() {
+            if cell.input_cap(pin).is_some() {
+                table[net.index()].push((id, conn));
+            }
         }
     }
+    Ok(table)
 }
 
 /// Gate sizing: a load-based pass that picks the smallest strength able to
@@ -369,17 +397,92 @@ mod tests {
         nl
     }
 
+    /// Largest fanout of any net.
+    fn max_fanout(nl: &Netlist, lib: &Library) -> usize {
+        nl.sinks(lib).unwrap().values().map(Vec::len).max().unwrap_or(0)
+    }
+
     #[test]
     fn buffering_splits_high_fanout() {
         let lib = fixture_library();
         let mut nl = star(20);
         buffer_fanout(&mut nl, &lib, 6).unwrap();
         nl.validate(&lib).unwrap();
-        let sinks = nl.sinks(&lib).unwrap();
-        for pins in sinks.values() {
-            assert!(pins.len() <= 6, "net still overloaded: {}", pins.len());
-        }
+        assert!(max_fanout(&nl, &lib) <= 6);
         assert!(nl.instances().iter().any(|i| i.cell.starts_with("BUF")));
+    }
+
+    #[test]
+    fn buffering_revisits_a_net_until_it_fits() {
+        // 40 sinks at fanout 2: 20 buffers, then 10, 5, 3 and 2 on the hub.
+        let lib = fixture_library();
+        let mut nl = star(40);
+        buffer_fanout(&mut nl, &lib, 2).unwrap();
+        nl.validate(&lib).unwrap();
+        assert!(max_fanout(&nl, &lib) <= 2);
+        assert_eq!(nl.instance_count(), 41 + 20 + 10 + 5 + 3 + 2);
+    }
+
+    #[test]
+    fn buffering_skips_taken_buffer_names() {
+        // star(10) has 12 nets; the 13th feeds an instance already named
+        // after the first branch net, `fob13`.
+        let lib = fixture_library();
+        let mut nl = star(10);
+        let a = nl.find_net("a").unwrap();
+        let z = nl.add_port("z", PortDir::Output);
+        nl.add_instance("fob13", "INV_X1", &[("A", a), ("Y", z)]);
+        buffer_fanout(&mut nl, &lib, 6).unwrap();
+        nl.validate(&lib).unwrap();
+        let names: Vec<&str> = nl.instances()[12..].iter().map(|i| i.name.as_str()).collect();
+        assert_eq!(names, ["fob14", "fob15"]);
+        assert!(max_fanout(&nl, &lib) <= 6);
+    }
+
+    #[test]
+    fn buffering_reports_unmapped_instances_with_or_without_a_buffer() {
+        let mut unmapped = star(10);
+        let a = unmapped.find_net("a").unwrap();
+        let z = unmapped.add_port("z", PortDir::Output);
+        unmapped.add_instance("u", "NOT_A_CELL", &[("A", a), ("Y", z)]);
+        let mut no_buffer = fixture_library();
+        let buffers: Vec<String> = no_buffer
+            .cells()
+            .filter(|c| c.name.starts_with("BUF"))
+            .map(|c| c.name.clone())
+            .collect();
+        for name in &buffers {
+            no_buffer.remove_cell(name);
+        }
+        for lib in [fixture_library(), no_buffer] {
+            let err = buffer_fanout(&mut unmapped.clone(), &lib, 6).unwrap_err();
+            let expected =
+                NetlistError::UnknownCell { instance: "u".into(), cell: "NOT_A_CELL".into() };
+            assert_eq!(err, SynthError::from(expected));
+        }
+    }
+
+    #[test]
+    fn buffering_works_overloaded_nets_in_net_order() {
+        // A second hub driven from the first: both overloaded at once.
+        let lib = fixture_library();
+        let mut nl = star(8);
+        let hub = nl.find_net("hub").unwrap();
+        let hub2 = nl.add_net("hub2");
+        nl.add_instance("drv2", "INV_X1", &[("A", hub), ("Y", hub2)]);
+        for k in 0..8 {
+            let y = nl.add_port(&format!("z{k}"), PortDir::Output);
+            nl.add_instance(&format!("t{k}"), "INV_X1", &[("A", hub2), ("Y", y)]);
+        }
+        let mut again = nl.clone();
+        buffer_fanout(&mut nl, &lib, 6).unwrap();
+        buffer_fanout(&mut again, &lib, 6).unwrap();
+        assert_eq!(nl, again);
+        // hub (9 sinks) is split before hub2 (8 sinks).
+        let buffered: Vec<NetId> =
+            nl.instances()[18..].iter().map(|i| i.net_on("A").unwrap()).collect();
+        assert_eq!(buffered, [hub, hub, hub2, hub2]);
+        assert!(max_fanout(&nl, &lib) <= 6);
     }
 
     #[test]

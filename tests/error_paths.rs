@@ -67,6 +67,31 @@ fn image_chain_rejects_malformed_pgm() {
 }
 
 #[test]
+fn image_chain_rejects_a_bad_clock_period() {
+    use reliaware::circuits::{dct8, idct8};
+    use reliaware::flow::run_image_chain;
+    use reliaware::netlist::DelayAnnotation;
+    use reliaware::synth::{synthesize, MapOptions};
+    let lib = fixture_library();
+    let (dct, idct) = (dct8(), idct8());
+    let dct_nl = synthesize(&dct.aig, &lib, &MapOptions::default()).expect("synthesis");
+    let idct_nl = synthesize(&idct.aig, &lib, &MapOptions::default()).expect("synthesis");
+    let image = reliaware::imgproc::synthetic::test_image(8, 8, 1);
+    let delays = DelayAnnotation::new();
+    for period in [0.0, f64::NAN] {
+        let err =
+            run_image_chain(&image, &dct_nl, &dct, &idct_nl, &idct, &lib, &delays, &delays, period)
+                .expect_err("a bad period must not run");
+        match &err {
+            EvalError::Simulation { message } => assert!(message.contains("period"), "{message}"),
+            other => panic!("period {period}: expected Simulation, got {other:?}"),
+        }
+        let flow_err = FlowError::from(err);
+        assert!(flow_err.to_string().starts_with("[system-eval] "), "{flow_err}");
+    }
+}
+
+#[test]
 fn characterizer_validates_its_config() {
     let cells = CellSet::minimal();
     let empty_axis = CharConfig { slews: vec![], ..CharConfig::fast() };
