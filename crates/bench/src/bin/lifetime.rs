@@ -6,6 +6,7 @@
 //! Environment: `RELIAWARE_IMG` sets the image edge (default 24 for speed).
 
 use bench::{fresh_library, library_for, ImageChain};
+use bti::json::Json;
 use bti::AgingScenario;
 use flow::{FlowError, RunContext};
 use imgproc::ACCEPTABLE_PSNR_DB;
@@ -28,12 +29,34 @@ options:
 /// Ages (years) the reliability curves are sampled at.
 const CURVE_YEARS: [f64; 9] = [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0];
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_owned()
-    }
+/// One design's entry in the `reliaware-mttf-v1` record.
+fn design_record(name: &str, report: &dataflow::LifetimeReport) -> Json {
+    let shares = report.hazard_shares.iter().map(|&(mechanism, share)| (mechanism, share.into()));
+    let per_mech = report.mechanism_design_mttf().into_iter().map(|(m, mttf)| (m, mttf.into()));
+    let curve = CURVE_YEARS
+        .iter()
+        .map(|&t| Json::Arr(vec![t.into(), report.design_reliability_lo(t).into()]))
+        .collect();
+    Json::obj([
+        ("name", name.into()),
+        ("instances", report.instances.len().into()),
+        ("design_mttf_lo_years", report.design_mttf_lo_years.into()),
+        ("design_mttf_best_years", report.design_mttf_best_years.into()),
+        ("years_until_budget", report.years_until_budget.into()),
+        ("worst_instance", report.worst_instance.as_deref().unwrap_or("-").into()),
+        ("hazard_shares", Json::obj(shares)),
+        ("mechanism_mttf_lo_years", Json::obj(per_mech)),
+        ("reliability_lo", curve),
+    ])
+}
+
+/// The `reliaware-mttf-v1` record.
+fn mttf_record(horizon_years: f64, designs: Vec<Json>) -> Json {
+    Json::obj([
+        ("schema", "reliaware-mttf-v1".into()),
+        ("horizon_years", horizon_years.into()),
+        ("designs", Json::Arr(designs)),
+    ])
 }
 
 /// The fast fixture-based mode behind `--mttf-json`: static lifetime bounds
@@ -77,44 +100,9 @@ fn run_mttf(path: &str, ctx: &RunContext) -> Result<(), FlowError> {
             },
             report.worst_instance.as_deref().unwrap_or("-"),
         );
-        let shares = report
-            .hazard_shares
-            .iter()
-            .map(|(name, share)| format!("\"{name}\": {}", json_num(*share)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let per_mech = report
-            .mechanism_design_mttf()
-            .iter()
-            .map(|(name, mttf)| format!("\"{name}\": {}", json_num(*mttf)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let curve = CURVE_YEARS
-            .iter()
-            .map(|&t| format!("[{}, {}]", json_num(t), json_num(report.design_reliability_lo(t))))
-            .collect::<Vec<_>>()
-            .join(", ");
-        blocks.push(format!(
-            "    {{\n      \"name\": \"{}\",\n      \"instances\": {},\n      \
-             \"design_mttf_lo_years\": {},\n      \"design_mttf_best_years\": {},\n      \
-             \"years_until_budget\": {},\n      \"worst_instance\": \"{}\",\n      \
-             \"hazard_shares\": {{{shares}}},\n      \
-             \"mechanism_mttf_lo_years\": {{{per_mech}}},\n      \
-             \"reliability_lo\": [{curve}]\n    }}",
-            design.name,
-            report.instances.len(),
-            json_num(report.design_mttf_lo_years),
-            json_num(report.design_mttf_best_years),
-            json_num(report.years_until_budget),
-            report.worst_instance.as_deref().unwrap_or("-"),
-        ));
+        blocks.push(design_record(&design.name, &report));
     }
-    let json = format!(
-        "{{\n  \"schema\": \"reliaware-mttf-v1\",\n  \"horizon_years\": {},\n  \
-         \"designs\": [\n{}\n  ]\n}}\n",
-        json_num(config.years),
-        blocks.join(",\n")
-    );
+    let json = mttf_record(config.years, blocks).render_pretty();
     std::fs::write(path, json).map_err(|e| FlowError::io(path, &e))?;
     println!("\nwrote {path}");
     Ok(())
@@ -186,4 +174,42 @@ fn run() -> Result<(), FlowError> {
 
 fn main() -> ExitCode {
     bench::cli::run(USAGE, run)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn record_round_trips() {
+        let report = dataflow::LifetimeReport {
+            instances: Vec::new(),
+            design_mttf_lo_years: 12.5,
+            design_mttf_best_years: 40.0,
+            hazard_shares: vec![("nbti", 0.75), ("em", 0.25)],
+            years_until_budget: f64::INFINITY,
+            worst_instance: Some("u\"1\\".into()),
+            exact: true,
+            config: dataflow::LifetimeConfig::default(),
+            worst_pools: vec![("nbti", vec![(bti::Weibull::new(30.0, 2.0), 3)]), ("em", vec![])],
+        };
+        let record = mttf_record(10.0, vec![design_record("dct", &report)]);
+        let doc = Json::parse(&record.render_pretty()).unwrap();
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("reliaware-mttf-v1"));
+        assert_eq!(doc.get("horizon_years").and_then(Json::as_f64), Some(10.0));
+        let design = &doc.get("designs").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(design.get("name").and_then(Json::as_str), Some("dct"));
+        assert_eq!(design.get("design_mttf_lo_years").and_then(Json::as_f64), Some(12.5));
+        assert_eq!(design.get("years_until_budget"), Some(&Json::Null));
+        assert_eq!(design.get("worst_instance").and_then(Json::as_str), Some("u\"1\\"));
+        let shares = design.get("hazard_shares").unwrap();
+        assert_eq!(shares.get("nbti").and_then(Json::as_f64), Some(0.75));
+        let per_mech = design.get("mechanism_mttf_lo_years").unwrap();
+        assert_eq!(per_mech.get("em"), Some(&Json::Null));
+        let curve = design.get("reliability_lo").and_then(Json::as_arr).unwrap();
+        assert_eq!(curve.len(), CURVE_YEARS.len());
+        let point = curve[4].as_arr().unwrap();
+        assert_eq!(point[0].as_f64(), Some(CURVE_YEARS[4]));
+        assert_eq!(point[1].as_f64(), Some(report.design_reliability_lo(CURVE_YEARS[4])));
+    }
 }

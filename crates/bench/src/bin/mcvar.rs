@@ -16,7 +16,8 @@
 //! Exit status: 0 on success, 1 when any sampled die falls below the
 //! variation-aware static bound (a soundness violation), 2 on usage errors.
 
-use dataflow::McSampling;
+use bti::json::{Json, MAX_SAFE_INT};
+use dataflow::{McDistribution, McSampling};
 use flow::{FlowError, RunContext};
 use std::process::ExitCode;
 
@@ -29,7 +30,8 @@ options:
   --design NAME    benchmark to analyze (repeatable; default: all bundled
                    benchmarks): dct, idct, fft, dsp, risc, risc6, vliw
   --samples N      number of sampled dies per design, at least 1 (default 256)
-  --seed S         base seed of the sampling streams (default 1)
+  --seed S         base seed of the sampling streams, an integer in
+                   [0, 2^53) (default 1)
   --sigma-vth V    1-sigma per-instance fresh-Vth offset in volts
                    (default 0.015, the ptm 45 nm within-die spread)
   --clamp C        clamp offsets at +/- C standard deviations (default 4)
@@ -83,8 +85,13 @@ fn parse_args(rest: Vec<String>) -> Result<Args, FlowError> {
                 })?);
             }
             "--seed" => {
+                // The record carries the seed as a JSON number, which holds
+                // integers exactly only below 2^53.
                 let v = value("--seed")?;
-                args.seed = v.parse().map_err(|_| FlowError::Usage(format!("bad seed {v}")))?;
+                let seed = v.parse().ok().filter(|&s: &u64| s <= MAX_SAFE_INT);
+                args.seed = seed.ok_or_else(|| {
+                    FlowError::Usage(format!("--seed needs an integer in [0, 2^53), got {v}"))
+                })?;
             }
             "--sigma-vth" => args.sigma_vth = parse("--sigma-vth", &value("--sigma-vth")?)?,
             "--clamp" => args.clamp = parse("--clamp", &value("--clamp")?)?,
@@ -101,12 +108,34 @@ fn parse_args(rest: Vec<String>) -> Result<Args, FlowError> {
     Ok(args)
 }
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_owned()
-    }
+/// One design's entry in the `reliaware-mcvar-v1` record.
+fn design_record(name: &str, instances: usize, dist: &McDistribution, contained: bool) -> Json {
+    Json::obj([
+        ("name", name.into()),
+        ("instances", instances.into()),
+        ("nominal_mttf_lo_years", dist.nominal_years.into()),
+        ("static_bound_years", dist.static_bound_years.into()),
+        ("min_years", dist.min_years().into()),
+        ("p5_years", dist.quantile_years(0.05).into()),
+        ("median_years", dist.median_years().into()),
+        ("mean_years", dist.mean_years().into()),
+        ("p95_years", dist.quantile_years(0.95).into()),
+        ("max_years", dist.max_years().into()),
+        ("p5_retention", dist.p5_retention().into()),
+        ("contains_static_bound", contained.into()),
+    ])
+}
+
+/// The `reliaware-mcvar-v1` record.
+fn mcvar_record(sampling: &McSampling, designs: Vec<Json>) -> Json {
+    Json::obj([
+        ("schema", "reliaware-mcvar-v1".into()),
+        ("samples", sampling.samples.into()),
+        ("seed", sampling.seed.into()),
+        ("sigma_vth", sampling.sigma_vth.into()),
+        ("clamp_sigmas", sampling.clamp_sigmas.into()),
+        ("designs", Json::Arr(designs)),
+    ])
 }
 
 fn fmt_years(v: f64) -> String {
@@ -185,37 +214,11 @@ fn run() -> Result<ExitCode, FlowError> {
             dist.p5_retention(),
             if contained { "yes" } else { "NO" },
         );
-        blocks.push(format!(
-            "    {{\n      \"name\": \"{}\",\n      \"instances\": {},\n      \
-             \"nominal_mttf_lo_years\": {},\n      \"static_bound_years\": {},\n      \
-             \"min_years\": {},\n      \"p5_years\": {},\n      \"median_years\": {},\n      \
-             \"mean_years\": {},\n      \"p95_years\": {},\n      \"max_years\": {},\n      \
-             \"p5_retention\": {},\n      \"contains_static_bound\": {}\n    }}",
-            design.name,
-            outcome.report.instances.len(),
-            json_num(dist.nominal_years),
-            json_num(dist.static_bound_years),
-            json_num(dist.min_years()),
-            json_num(dist.quantile_years(0.05)),
-            json_num(dist.median_years()),
-            json_num(dist.mean_years()),
-            json_num(dist.quantile_years(0.95)),
-            json_num(dist.max_years()),
-            json_num(dist.p5_retention()),
-            contained,
-        ));
+        blocks.push(design_record(&design.name, outcome.report.instances.len(), dist, contained));
     }
 
     if let Some(path) = &args.json {
-        let json = format!(
-            "{{\n  \"schema\": \"reliaware-mcvar-v1\",\n  \"samples\": {samples},\n  \
-             \"seed\": {},\n  \"sigma_vth\": {},\n  \"clamp_sigmas\": {},\n  \
-             \"designs\": [\n{}\n  ]\n}}\n",
-            args.seed,
-            json_num(args.sigma_vth),
-            json_num(args.clamp),
-            blocks.join(",\n")
-        );
+        let json = mcvar_record(&sampling, blocks).render_pretty();
         std::fs::write(path, json).map_err(|e| FlowError::io(path, &e))?;
         println!("\nwrote {path}");
     }
@@ -230,4 +233,44 @@ fn run() -> Result<ExitCode, FlowError> {
 
 fn main() -> ExitCode {
     bench::cli::run_code(USAGE, run)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn record_round_trips() {
+        let sampling = McSampling::nominal_45nm(3, MAX_SAFE_INT);
+        let dist = McDistribution {
+            samples: vec![20.0, f64::INFINITY, 30.5],
+            sampling: sampling.clone(),
+            nominal_years: 25.0,
+            static_bound_years: 12.25,
+        };
+        let block = design_record("risc \"5p\"", 4, &dist, true);
+        let doc = Json::parse(&mcvar_record(&sampling, vec![block]).render_pretty()).unwrap();
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("reliaware-mcvar-v1"));
+        assert_eq!(doc.get("samples").and_then(Json::as_u64), Some(3));
+        assert_eq!(doc.get("seed").and_then(Json::as_u64), Some(MAX_SAFE_INT));
+        assert_eq!(doc.get("sigma_vth").and_then(Json::as_f64), Some(sampling.sigma_vth));
+        let design = &doc.get("designs").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(design.get("name").and_then(Json::as_str), Some("risc \"5p\""));
+        assert_eq!(design.get("instances").and_then(Json::as_u64), Some(4));
+        assert_eq!(design.get("static_bound_years").and_then(Json::as_f64), Some(12.25));
+        assert_eq!(design.get("min_years").and_then(Json::as_f64), Some(20.0));
+        assert_eq!(design.get("max_years"), Some(&Json::Null));
+        assert_eq!(design.get("mean_years"), Some(&Json::Null));
+        assert_eq!(design.get("contains_static_bound"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn seeds_the_record_cannot_carry_are_usage_errors() {
+        let seed = |v: &str| parse_args(vec!["--seed".into(), v.into()]).map(|a| a.seed);
+        assert_eq!(seed("9007199254740991").ok(), Some(MAX_SAFE_INT));
+        for bad in ["9007199254740992", "9007199254740993", "-5", "2.7"] {
+            let err = seed(bad).err().unwrap_or_else(|| panic!("accepted {bad}"));
+            assert_eq!(err.exit_code(), 2, "{bad}");
+        }
+    }
 }

@@ -42,10 +42,10 @@
 //! `--smoke` pins a tiny grid for CI; the default configuration is sized
 //! for a workstation run (a few minutes on one core).
 
+use bti::json::Json;
 use bti::{AgingScenario, DutyCycle};
 use flow::{ArcCache, CharConfig, Characterizer, FlowError, RunContext, SurrogateTier};
 use sta::{analyze, Constraints};
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -130,14 +130,6 @@ fn repo_root() -> PathBuf {
     path
 }
 
-/// One timed stage in the JSON record: a name, wall-clock seconds, and
-/// free-form extra fields already rendered as JSON.
-struct Stage {
-    name: &'static str,
-    seconds: f64,
-    extra: String,
-}
-
 fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let start = Instant::now();
     let r = f();
@@ -161,7 +153,7 @@ fn char_config(opts: &Options, parallelism: usize) -> CharConfig {
 fn run() -> Result<(), FlowError> {
     let opts = parse_args()?;
     let ctx = RunContext::new().with_workers(opts.threads);
-    let mut stages: Vec<Stage> = Vec::new();
+    let mut stages: Vec<Json> = Vec::new();
     let lib_cells = if opts.smoke {
         vec!["INV_X1", "NAND2_X1", "NOR2_X1", "DFF_X1"]
     } else {
@@ -177,7 +169,7 @@ fn run() -> Result<(), FlowError> {
         Characterizer::new(CellSet::nangate45_like().subset(&["INV_X1"]), char_config(&opts, 1))?;
     let (r, secs) = time(|| single.library(&scenario));
     r?;
-    report(&ctx, &mut stages, "characterize_1cell", secs, 1, String::new());
+    report(&ctx, &mut stages, "characterize_1cell", secs, 1, vec![]);
 
     // 2. One-scenario library: sequential vs. pooled task queue.
     let subset = CellSet::nangate45_like().subset(&lib_cells);
@@ -185,7 +177,7 @@ fn run() -> Result<(), FlowError> {
     let (lib_seq, seq_secs) = time(|| seq.library(&scenario));
     let lib_seq = lib_seq?;
     let cells = lib_cells.len() as u64;
-    report(&ctx, &mut stages, "library_seq", seq_secs, cells, format!(r#""cells": {cells}"#));
+    report(&ctx, &mut stages, "library_seq", seq_secs, cells, vec![("cells", cells.into())]);
     let par = Characterizer::new(subset, char_config(&opts, opts.threads))?;
     let (lib_par, par_secs) = time(|| par.library(&scenario));
     let lib_par = lib_par?;
@@ -196,11 +188,12 @@ fn run() -> Result<(), FlowError> {
         "library_par",
         par_secs,
         cells,
-        format!(
-            r#""cells": {cells}, "threads": {}, "speedup_vs_seq": {:.3}, "bit_identical": true"#,
-            opts.threads,
-            seq_secs / par_secs.max(1e-12)
-        ),
+        vec![
+            ("cells", cells.into()),
+            ("threads", opts.threads.into()),
+            ("speedup_vs_seq", (seq_secs / par_secs.max(1e-12)).into()),
+            ("bit_identical", true.into()),
+        ],
     );
 
     // 3. Complete λ-grid: sequential vs. pooled (scenario × cell) queue.
@@ -216,7 +209,7 @@ fn run() -> Result<(), FlowError> {
         "complete_grid_seq",
         grid_seq_secs,
         grid_tasks,
-        format!(r#""scenarios": {scenarios}, "cells": {}"#, grid_cells.len()),
+        vec![("scenarios", scenarios.into()), ("cells", grid_cells.len().into())],
     );
     let grid_par = Characterizer::new(grid_set.clone(), char_config(&opts, opts.threads))?;
     let (complete_par, grid_par_secs) = time(|| grid_par.complete_library(opts.steps, 10.0));
@@ -231,12 +224,13 @@ fn run() -> Result<(), FlowError> {
         "complete_grid_par",
         grid_par_secs,
         grid_tasks,
-        format!(
-            r#""scenarios": {scenarios}, "cells": {}, "threads": {}, "speedup_vs_seq": {:.3}, "bit_identical": true"#,
-            grid_cells.len(),
-            opts.threads,
-            grid_seq_secs / grid_par_secs.max(1e-12)
-        ),
+        vec![
+            ("scenarios", scenarios.into()),
+            ("cells", grid_cells.len().into()),
+            ("threads", opts.threads.into()),
+            ("speedup_vs_seq", (grid_seq_secs / grid_par_secs.max(1e-12)).into()),
+            ("bit_identical", true.into()),
+        ],
     );
 
     // 4. The same grid through the two-tier arc cache: cold, then warm from
@@ -256,7 +250,7 @@ fn run() -> Result<(), FlowError> {
         "complete_grid_cold_cache",
         cold_secs,
         grid_tasks,
-        format!(r#""scenarios": {scenarios}, {}"#, cache_json(&cold_cache)),
+        vec![("scenarios", scenarios.into()), ("cache", cache_block(&cold_cache))],
     );
     let warm_cache = Arc::new(ArcCache::with_dir(&cache_dir));
     let warm = Characterizer::new(grid_set, char_config(&opts, opts.threads))?
@@ -267,18 +261,19 @@ fn run() -> Result<(), FlowError> {
     // The warm cache carries the run's headline hit rates — surface it in
     // the run report alongside the per-stage timings.
     ctx.attach_cache(Arc::clone(&warm_cache));
-    ctx.event("complete_grid_warm_cache", cache_json(&warm_cache));
+    ctx.event("complete_grid_warm_cache", cache_block(&warm_cache).render());
     report(
         &ctx,
         &mut stages,
         "complete_grid_warm_cache",
         warm_secs,
         grid_tasks,
-        format!(
-            r#""scenarios": {scenarios}, "speedup_vs_cold": {:.3}, "bit_identical": true, {}"#,
-            cold_secs / warm_secs.max(1e-12),
-            cache_json(&warm_cache)
-        ),
+        vec![
+            ("scenarios", scenarios.into()),
+            ("speedup_vs_cold", (cold_secs / warm_secs.max(1e-12)).into()),
+            ("bit_identical", true.into()),
+            ("cache", cache_block(&warm_cache)),
+        ],
     );
     let _ = std::fs::remove_dir_all(&cache_dir);
 
@@ -300,7 +295,7 @@ fn run() -> Result<(), FlowError> {
         "sta_arrival_dct8",
         sta_secs / f64::from(sta_iters),
         u64::from(sta_iters),
-        format!(r#""iterations": {sta_iters}, "instances": {}"#, netlist.instance_count()),
+        vec![("iterations", sta_iters.into()), ("instances", netlist.instance_count().into())],
     );
     let vectors: Vec<Vec<bool>> = (0..16)
         .map(|k| (0..design.input_width()).map(|b| (k * 7 + b) % 3 == 0).collect())
@@ -320,7 +315,7 @@ fn run() -> Result<(), FlowError> {
         "logicsim_dct8_16cy",
         sim_secs / f64::from(sim_iters),
         u64::from(sim_iters),
-        format!(r#""iterations": {sim_iters}"#),
+        vec![("iterations", sim_iters.into())],
     );
 
     // 6. Incremental vs. full re-STA: single-instance λ re-annotations on
@@ -400,10 +395,16 @@ fn run() -> Result<(), FlowError> {
             stage_name,
             inc_secs,
             iters as u64,
-            format!(
-                r#""instances": {instances}, "re_annotations": {iters}, "nodes_full": {nodes_full}, "nodes_recomputed": {recomputed}, "node_ratio": {node_ratio:.2}, "full_seconds": {full_secs:.6}, "speedup_vs_full": {:.3}, "bit_identical": true"#,
-                full_secs / inc_secs.max(1e-12)
-            ),
+            vec![
+                ("instances", instances.into()),
+                ("re_annotations", iters.into()),
+                ("nodes_full", nodes_full.into()),
+                ("nodes_recomputed", recomputed.into()),
+                ("node_ratio", node_ratio.into()),
+                ("full_seconds", full_secs.into()),
+                ("speedup_vs_full", (full_secs / inc_secs.max(1e-12)).into()),
+                ("bit_identical", true.into()),
+            ],
         );
     }
 
@@ -433,10 +434,12 @@ fn run() -> Result<(), FlowError> {
             stage_name,
             lt_secs / f64::from(iters),
             u64::from(iters) * instances as u64,
-            format!(
-                r#""iterations": {iters}, "instances": {instances}, "mttf_lo_years": {:.3}, "deterministic": true"#,
-                first.design_mttf_lo_years
-            ),
+            vec![
+                ("iterations", iters.into()),
+                ("instances", instances.into()),
+                ("mttf_lo_years", first.design_mttf_lo_years.into()),
+                ("deterministic", true.into()),
+            ],
         );
     }
 
@@ -465,10 +468,13 @@ fn run() -> Result<(), FlowError> {
             "serve_storm",
             storm_secs,
             storm_clients as u64,
-            format!(
-                r#""clients": {storm_clients}, "server_computed": {}, "absorbed": {}, "coalesced_all": true, "bit_identical": true"#,
-                storm.server_computed, storm.absorbed
-            ),
+            vec![
+                ("clients", storm_clients.into()),
+                ("server_computed", storm.server_computed.into()),
+                ("absorbed", storm.absorbed.into()),
+                ("coalesced_all", true.into()),
+                ("bit_identical", true.into()),
+            ],
         );
         let load_clients = if opts.smoke { 4 } else { 8 };
         let load_config = serve::LoadConfig {
@@ -485,18 +491,18 @@ fn run() -> Result<(), FlowError> {
             "serve_load_warm",
             load.seconds,
             load.requests,
-            format!(
-                r#""clients": {load_clients}, "requests": {}, "throughput_rps": {:.3}, "p50_us": {}, "p95_us": {}, "p99_us": {}, "memo_hits": {}, "computed": {}, "coalesced": {}, "overloads": {}"#,
-                load.requests,
-                load.throughput_rps,
-                load.p50_us,
-                load.p95_us,
-                load.p99_us,
-                load.memo_hits,
-                load.computed,
-                load.coalesced,
-                load.overloads
-            ),
+            vec![
+                ("clients", load_clients.into()),
+                ("requests", load.requests.into()),
+                ("throughput_rps", load.throughput_rps.into()),
+                ("p50_us", load.p50_us.into()),
+                ("p95_us", load.p95_us.into()),
+                ("p99_us", load.p99_us.into()),
+                ("memo_hits", load.memo_hits.into()),
+                ("computed", load.computed.into()),
+                ("coalesced", load.coalesced.into()),
+                ("overloads", load.overloads.into()),
+            ],
         );
         handle.shutdown();
         let _ = std::fs::remove_file(&socket);
@@ -536,11 +542,12 @@ fn run() -> Result<(), FlowError> {
             "surrogate_train_grid",
             train_secs,
             train_points,
-            format!(
-                r#""grid_points": {train_points}, "cells": {}, "classes": {}, "samples": {train_samples}"#,
-                sur_cells.len(),
-                model.len()
-            ),
+            vec![
+                ("grid_points", train_points.into()),
+                ("cells", sur_cells.len().into()),
+                ("classes", model.len().into()),
+                ("samples", train_samples.into()),
+            ],
         );
 
         // Novel λ points: deliberately off the training grid.
@@ -600,14 +607,17 @@ fn run() -> Result<(), FlowError> {
             "surrogate_tier0_novel",
             served_secs,
             novel.len() as u64,
-            format!(
-                r#""novel_points": {}, "budget": {budget}, "max_rel_err": {:.6}, "mean_rel_err": {:.6}, "ref_seconds": {ref_secs:.6}, "speedup_vs_sim": {speedup:.1}, "tier0_hits": {}, "tier0_fallbacks": {}, "bit_identical_fallback": true"#,
-                novel.len(),
-                eval.max_rel,
-                eval.mean_rel,
-                stats.tier0_hits,
-                stats.tier0_fallbacks
-            ),
+            vec![
+                ("novel_points", novel.len().into()),
+                ("budget", budget.into()),
+                ("max_rel_err", eval.max_rel.into()),
+                ("mean_rel_err", eval.mean_rel.into()),
+                ("ref_seconds", ref_secs.into()),
+                ("speedup_vs_sim", speedup.into()),
+                ("tier0_hits", stats.tier0_hits.into()),
+                ("tier0_fallbacks", stats.tier0_fallbacks.into()),
+                ("bit_identical_fallback", true.into()),
+            ],
         );
     }
 
@@ -661,16 +671,19 @@ fn run() -> Result<(), FlowError> {
             "mcvar_risc",
             pooled_secs,
             samples as u64,
-            format!(
-                r#""samples": {samples}, "threads": {}, "samples_per_sec": {:.1}, "seq_seconds": {one_secs:.6}, "speedup": {:.2}, "nominal_years": {:.3}, "var_bound_years": {:.3}, "min_years": {:.3}, "p5_retention": {:.4}, "bit_identical_workers": true, "contains_static_bound": true"#,
-                opts.threads,
-                samples as f64 / pooled_secs.max(1e-12),
-                one_secs / pooled_secs.max(1e-12),
-                dist.nominal_years,
-                dist.static_bound_years,
-                dist.min_years(),
-                dist.p5_retention()
-            ),
+            vec![
+                ("samples", samples.into()),
+                ("threads", opts.threads.into()),
+                ("samples_per_sec", (samples as f64 / pooled_secs.max(1e-12)).into()),
+                ("seq_seconds", one_secs.into()),
+                ("speedup", (one_secs / pooled_secs.max(1e-12)).into()),
+                ("nominal_years", dist.nominal_years.into()),
+                ("var_bound_years", dist.static_bound_years.into()),
+                ("min_years", dist.min_years().into()),
+                ("p5_retention", dist.p5_retention().into()),
+                ("bit_identical_workers", true.into()),
+                ("contains_static_bound", true.into()),
+            ],
         );
     }
 
@@ -679,7 +692,7 @@ fn run() -> Result<(), FlowError> {
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
     let stamp = bench::utc_stamp(unix_time);
-    let json = render_json(&opts, unix_time, &stamp, &stages);
+    let json = bench_record(&opts, unix_time, &stamp, stages).render_pretty();
     std::fs::create_dir_all(&opts.out_dir)
         .map_err(|e| FlowError::io(opts.out_dir.display(), &e))?;
     let path = opts.out_dir.join(format!("BENCH_{stamp}.json"));
@@ -705,65 +718,83 @@ fn mode(opts: &Options) -> &'static str {
 
 fn report(
     ctx: &RunContext,
-    stages: &mut Vec<Stage>,
+    stages: &mut Vec<Json>,
     name: &'static str,
     seconds: f64,
     tasks: u64,
-    extra: String,
+    extra: Vec<(&'static str, Json)>,
 ) {
-    println!("  {name:<28} {seconds:>10.3} s  {}", extra.replace('"', ""));
+    let shown: Vec<String> = extra.iter().map(|(k, v)| format!("{k}: {}", v.render())).collect();
+    println!("  {name:<28} {seconds:>10.3} s  {}", shown.join(", ").replace('"', ""));
     ctx.record_stage(name, seconds, tasks);
-    stages.push(Stage { name, seconds, extra });
+    let head = [("name", name.into()), ("seconds", seconds.into())];
+    stages.push(Json::obj(head.into_iter().chain(extra)));
 }
 
-fn cache_json(cache: &ArcCache) -> String {
+/// A cache's counters, as the cache-stage records carry them.
+fn cache_block(cache: &ArcCache) -> Json {
     let stats = cache.stats();
-    format!(
-        r#""cache": {{"memory_hits": {}, "disk_hits": {}, "misses": {}, "coalesced": {}, "tier0_hits": {}, "tier0_fallbacks": {}, "tier0_refits": {}, "shards": {}, "hit_rate": {:.4}}}"#,
-        stats.memory_hits,
-        stats.disk_hits,
-        stats.misses,
-        stats.coalesced,
-        stats.tier0_hits,
-        stats.tier0_fallbacks,
-        cache.tier0_refits(),
-        cache.shard_count(),
-        stats.hit_rate()
-    )
+    Json::obj([
+        ("memory_hits", stats.memory_hits.into()),
+        ("disk_hits", stats.disk_hits.into()),
+        ("misses", stats.misses.into()),
+        ("coalesced", stats.coalesced.into()),
+        ("tier0_hits", stats.tier0_hits.into()),
+        ("tier0_fallbacks", stats.tier0_fallbacks.into()),
+        ("tier0_refits", cache.tier0_refits().into()),
+        ("shards", cache.shard_count().into()),
+        ("hit_rate", stats.hit_rate().into()),
+    ])
 }
 
-fn render_json(opts: &Options, unix_time: u64, stamp: &str, stages: &[Stage]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, r#"  "schema": "reliaware-perfbench-v1","#);
-    let _ = writeln!(out, r#"  "stamp": "{stamp}","#);
-    let _ = writeln!(out, r#"  "unix_time": {unix_time},"#);
-    let _ = writeln!(
-        out,
-        r#"  "machine": {{"threads_available": {}, "os": "{}", "arch": "{}"}},"#,
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-        std::env::consts::OS,
-        std::env::consts::ARCH
-    );
-    let _ = writeln!(
-        out,
-        r#"  "config": {{"mode": "{}", "grid_steps": {}, "threads": {}}},"#,
-        mode(opts),
-        opts.steps,
-        opts.threads
-    );
-    let _ = writeln!(out, r#"  "stages": ["#);
-    for (k, stage) in stages.iter().enumerate() {
-        let comma = if k + 1 == stages.len() { "" } else { "," };
-        let extra =
-            if stage.extra.is_empty() { String::new() } else { format!(", {}", stage.extra) };
-        let _ = writeln!(
-            out,
-            r#"    {{"name": "{}", "seconds": {:.6}{extra}}}{comma}"#,
-            stage.name, stage.seconds
-        );
+/// The `reliaware-perfbench-v1` record.
+fn bench_record(opts: &Options, unix_time: u64, stamp: &str, stages: Vec<Json>) -> Json {
+    Json::obj([
+        ("schema", "reliaware-perfbench-v1".into()),
+        ("stamp", stamp.into()),
+        ("unix_time", unix_time.into()),
+        ("machine", bench::machine()),
+        (
+            "config",
+            Json::obj([
+                ("mode", mode(opts).into()),
+                ("grid_steps", opts.steps.into()),
+                ("threads", opts.threads.into()),
+            ]),
+        ),
+        ("stages", Json::Arr(stages)),
+    ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn record_round_trips() {
+        let opts =
+            Options { smoke: true, steps: 1, threads: 2, out_dir: PathBuf::new(), report: None };
+        let ctx = RunContext::new();
+        let mut stages = Vec::new();
+        let extra = vec![("mttf_lo_years", f64::INFINITY.into()), ("bit_identical", true.into())];
+        report(&ctx, &mut stages, "static_lifetime_risc", 0.25, 3, extra);
+        let cache = ArcCache::in_memory();
+        let extra = vec![("cache", cache_block(&cache))];
+        report(&ctx, &mut stages, "complete_grid_cold_cache", 1.5, 4, extra);
+        let cache_shards = cache.shard_count() as u64;
+        let record = bench_record(&opts, 1_465_128_000, "20160605-120000", stages);
+        let doc = Json::parse(&record.render_pretty()).unwrap();
+        assert_eq!(doc, Json::parse(&record.render()).unwrap());
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("reliaware-perfbench-v1"));
+        assert_eq!(doc.get("unix_time").and_then(Json::as_u64), Some(1_465_128_000));
+        assert_eq!(doc.get("config").unwrap().get("mode").and_then(Json::as_str), Some("smoke"));
+        let stages = doc.get("stages").and_then(Json::as_arr).unwrap();
+        assert_eq!(stages[0].get("name").and_then(Json::as_str), Some("static_lifetime_risc"));
+        assert_eq!(stages[0].get("seconds").and_then(Json::as_f64), Some(0.25));
+        assert_eq!(stages[0].get("mttf_lo_years"), Some(&Json::Null));
+        assert_eq!(stages[0].get("bit_identical"), Some(&Json::Bool(true)));
+        let cache = stages[1].get("cache").unwrap();
+        assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(0));
+        assert_eq!(cache.get("shards").and_then(Json::as_u64), Some(cache_shards));
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }

@@ -21,9 +21,9 @@
 //! Point `--cache-dir` at a warm arc cache (e.g. the serve daemon's) and
 //! the grid pass replays from disk instead of re-simulating.
 
+use bti::json::Json;
 use bti::{AgingScenario, DutyCycle};
 use flow::{ArcCache, CharConfig, Characterizer, FlowError, SurrogateTier};
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -223,61 +223,105 @@ fn run() -> Result<(), FlowError> {
     model.save(&opts.model).map_err(|e| FlowError::io(opts.model.display(), &e))?;
     println!("wrote {}", opts.model.display());
     if let Some(path) = &opts.metrics {
-        let json = metrics_json(&opts, train_secs, samples, &model, &eval);
+        let classes = model.class_summaries();
+        let json = metrics_record(&opts, train_secs, samples, &classes, &eval).render_pretty();
         std::fs::write(path, json).map_err(|e| FlowError::io(path.display(), &e))?;
         println!("wrote {}", path.display());
     }
     Ok(())
 }
 
-fn metrics_json(
+/// The `reliaware-surrogate-train-v1` record; `classes` holds
+/// `(class, training points, conformal bound)` per fitted class.
+fn metrics_record(
     opts: &Options,
     train_secs: f64,
     samples: u64,
-    model: &surrogate::SurrogateModel,
+    classes: &[(String, usize, f64)],
     eval: &surrogate::ErrorSummary,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, r#"  "schema": "reliaware-surrogate-train-v1","#);
-    let _ = writeln!(
-        out,
-        r#"  "config": {{"mode": "{}", "grid_steps": {}, "cells": {:?}, "budget": {}}},"#,
-        if opts.smoke { "smoke" } else { "full" },
-        opts.steps,
-        opts.cells,
-        opts.budget
-    );
-    let _ = writeln!(
-        out,
-        r#"  "train": {{"seconds": {train_secs:.6}, "samples": {samples}, "classes": {}}},"#,
-        model.len()
-    );
-    let _ = writeln!(out, r#"  "class_bounds": ["#);
-    let summaries = model.class_summaries();
-    for (k, (class, points, bound)) in summaries.iter().enumerate() {
-        let comma = if k + 1 == summaries.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            r#"    {{"class": "{class}", "train_points": {points}, "bound": {bound:.6}}}{comma}"#
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let lambdas: Vec<String> = HELDOUT_LAMBDAS.iter().map(|(p, n)| format!("[{p}, {n}]")).collect();
-    let _ = writeln!(
-        out,
-        r#"  "heldout": {{"lambdas": [{}], "points": {}, "max_rel": {:.6}, "mean_rel": {:.6}, "skipped": {}}},"#,
-        lambdas.join(", "),
-        eval.points,
-        eval.max_rel,
-        eval.mean_rel,
-        eval.skipped
-    );
-    let _ = writeln!(out, r#"  "fallback_bit_identical": true"#);
-    let _ = writeln!(out, "}}");
-    out
+) -> Json {
+    let class_bounds = classes.iter().map(|(class, points, bound)| {
+        Json::obj([
+            ("class", class.as_str().into()),
+            ("train_points", (*points).into()),
+            ("bound", (*bound).into()),
+        ])
+    });
+    let lambdas = HELDOUT_LAMBDAS.iter().map(|&(p, n)| Json::Arr(vec![p.into(), n.into()]));
+    Json::obj([
+        ("schema", "reliaware-surrogate-train-v1".into()),
+        (
+            "config",
+            Json::obj([
+                ("mode", if opts.smoke { "smoke" } else { "full" }.into()),
+                ("grid_steps", opts.steps.into()),
+                ("cells", opts.cells.iter().map(String::as_str).collect()),
+                ("budget", opts.budget.into()),
+            ]),
+        ),
+        (
+            "train",
+            Json::obj([
+                ("seconds", train_secs.into()),
+                ("samples", samples.into()),
+                ("classes", classes.len().into()),
+            ]),
+        ),
+        ("class_bounds", class_bounds.collect()),
+        (
+            "heldout",
+            Json::obj([
+                ("lambdas", lambdas.collect()),
+                ("points", eval.points.into()),
+                ("max_rel", eval.max_rel.into()),
+                ("mean_rel", eval.mean_rel.into()),
+                ("skipped", eval.skipped.into()),
+            ]),
+        ),
+        ("fallback_bit_identical", true.into()),
+    ])
 }
 
 fn main() -> ExitCode {
     bench::cli::run(USAGE, run)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn record_round_trips() {
+        let opts = Options {
+            model: PathBuf::new(),
+            metrics: None,
+            smoke: true,
+            steps: 4,
+            cells: vec!["INV_X1".into(), "NAND\"2".into()],
+            threads: 1,
+            budget: 0.05,
+            cache_dir: None,
+        };
+        let classes =
+            vec![("INV \"a\"".to_owned(), 40, 0.0625), ("NAND2\\b".to_owned(), 3, f64::INFINITY)];
+        let eval =
+            surrogate::ErrorSummary { points: 12, max_rel: 0.01, mean_rel: 0.005, skipped: 0 };
+        let record = metrics_record(&opts, 1.5, 43, &classes, &eval);
+        let doc = Json::parse(&record.render_pretty()).unwrap();
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("reliaware-surrogate-train-v1"));
+        let config = doc.get("config").unwrap();
+        let cells: Vec<_> = config.get("cells").and_then(Json::as_arr).unwrap().to_vec();
+        assert_eq!(cells, vec![Json::from("INV_X1"), Json::from("NAND\"2")]);
+        assert_eq!(config.get("budget").and_then(Json::as_f64), Some(0.05));
+        assert_eq!(doc.get("train").unwrap().get("classes").and_then(Json::as_u64), Some(2));
+        let bounds = doc.get("class_bounds").and_then(Json::as_arr).unwrap();
+        assert_eq!(bounds[0].get("class").and_then(Json::as_str), Some("INV \"a\""));
+        assert_eq!(bounds[0].get("bound").and_then(Json::as_f64), Some(0.0625));
+        assert_eq!(bounds[1].get("class").and_then(Json::as_str), Some("NAND2\\b"));
+        assert_eq!(bounds[1].get("bound"), Some(&Json::Null));
+        let heldout = doc.get("heldout").unwrap();
+        let first = heldout.get("lambdas").and_then(Json::as_arr).unwrap()[0].clone();
+        assert_eq!(first, Json::Arr(vec![0.37.into(), 0.81.into()]));
+        assert_eq!(heldout.get("max_rel").and_then(Json::as_f64), Some(0.01));
+    }
 }

@@ -340,6 +340,20 @@ pub fn utc_stamp(secs: u64) -> String {
     format!("{year:04}{month:02}{day:02}-{hh:02}{mm:02}{ss:02}")
 }
 
+/// The `machine` block of the `BENCH_*.json` records: available threads,
+/// OS and architecture.
+#[must_use]
+pub fn machine() -> bti::json::Json {
+    bti::json::Json::obj([
+        (
+            "threads_available",
+            std::thread::available_parallelism().map_or(1, std::num::NonZero::get).into(),
+        ),
+        ("os", std::env::consts::OS.into()),
+        ("arch", std::env::consts::ARCH.into()),
+    ])
+}
+
 /// Prints a markdown-style table row.
 pub fn row(cells: &[String]) {
     println!("| {} |", cells.join(" | "));

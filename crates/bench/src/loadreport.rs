@@ -6,8 +6,8 @@
 //! `cache_tier0_fallbacks`, `cache_tier0_refits`) — the per-phase deltas a
 //! dashboard needs to see how much simulation the learned tier displaced.
 
+use bti::json::Json;
 use serve::{LoadReport, StormReport};
-use std::fmt::Write as _;
 
 /// The schema identifier embedded in every serialized record.
 pub const LOADGEN_SCHEMA: &str = "reliaware-loadgen-v2";
@@ -45,84 +45,73 @@ impl LoadgenRecord<'_> {
     /// Serializes the record as `reliaware-loadgen-v2` JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, r#"  "schema": "{LOADGEN_SCHEMA}","#);
-        let _ = writeln!(out, r#"  "stamp": "{}","#, self.stamp);
-        let _ = writeln!(out, r#"  "unix_time": {},"#, self.unix_time);
-        let _ = writeln!(
-            out,
-            r#"  "machine": {{"threads_available": {}, "os": "{}", "arch": "{}"}},"#,
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-            std::env::consts::OS,
-            std::env::consts::ARCH
-        );
-        let _ = writeln!(
-            out,
-            r#"  "config": {{"mode": "{}", "clients": {:?}, "requests_per_client": {}, "unique_keys": {}, "hot_key_bias": {}, "warm": {}}},"#,
-            self.mode,
-            self.clients,
-            self.requests_per_client,
-            self.unique_keys,
-            self.hot_key_bias,
-            self.warm
-        );
         let storm = self.storm;
-        let _ = writeln!(
-            out,
-            r#"  "storm": {{"clients": {}, "computed": {}, "absorbed": {}, "server_computed": {}, "all_identical": {}, "bit_identical_to_direct": true}},"#,
-            storm.clients,
-            storm.computed,
-            storm.absorbed,
-            storm.server_computed,
-            storm.all_identical
-        );
-        if let Some((overloads, served)) = self.shed {
-            let _ = writeln!(out, r#"  "shed": {{"overloads": {overloads}, "served": {served}}},"#);
-        }
-        let _ = writeln!(out, r#"  "loads": ["#);
-        for (k, r) in self.loads.iter().enumerate() {
-            let comma = if k + 1 == self.loads.len() { "" } else { "," };
+        let loads = self.loads.iter().map(|r| {
             let d = &r.stats_delta;
-            let _ = writeln!(
-                out,
-                r#"    {{"clients": {}, "requests": {}, "ok": {}, "errors": {}, "overloads": {}, "seconds": {:.6}, "throughput_rps": {:.3}, "p50_us": {}, "p95_us": {}, "p99_us": {}, "memo_hits": {}, "computed": {}, "coalesced": {}, "server": {{"lib_hits": {}, "lib_computed": {}, "lib_coalesced": {}, "cache_memory_hits": {}, "cache_disk_hits": {}, "cache_misses": {}, "cache_coalesced": {}, "cache_tier0_hits": {}, "cache_tier0_fallbacks": {}, "cache_tier0_refits": {}}}}}{comma}"#,
-                r.clients,
-                r.requests,
-                r.ok,
-                r.errors,
-                r.overloads,
-                r.seconds,
-                r.throughput_rps,
-                r.p50_us,
-                r.p95_us,
-                r.p99_us,
-                r.memo_hits,
-                r.computed,
-                r.coalesced,
-                d.library.hits,
-                d.library.computed,
-                d.library.coalesced,
-                d.cache.memory_hits,
-                d.cache.disk_hits,
-                d.cache.misses,
-                d.cache.coalesced,
-                d.cache.tier0_hits,
-                d.cache.tier0_fallbacks,
-                d.tier0_refits
-            );
+            let server = Json::obj([
+                ("lib_hits", d.library.hits.into()),
+                ("lib_computed", d.library.computed.into()),
+                ("lib_coalesced", d.library.coalesced.into()),
+                ("cache_memory_hits", d.cache.memory_hits.into()),
+                ("cache_disk_hits", d.cache.disk_hits.into()),
+                ("cache_misses", d.cache.misses.into()),
+                ("cache_coalesced", d.cache.coalesced.into()),
+                ("cache_tier0_hits", d.cache.tier0_hits.into()),
+                ("cache_tier0_fallbacks", d.cache.tier0_fallbacks.into()),
+                ("cache_tier0_refits", d.tier0_refits.into()),
+            ]);
+            Json::obj([
+                ("clients", r.clients.into()),
+                ("requests", r.requests.into()),
+                ("ok", r.ok.into()),
+                ("errors", r.errors.into()),
+                ("overloads", r.overloads.into()),
+                ("seconds", r.seconds.into()),
+                ("throughput_rps", r.throughput_rps.into()),
+                ("p50_us", r.p50_us.into()),
+                ("p95_us", r.p95_us.into()),
+                ("p99_us", r.p99_us.into()),
+                ("memo_hits", r.memo_hits.into()),
+                ("computed", r.computed.into()),
+                ("coalesced", r.coalesced.into()),
+                ("server", server),
+            ])
+        });
+        let mut fields = vec![
+            ("schema", LOADGEN_SCHEMA.into()),
+            ("stamp", self.stamp.into()),
+            ("unix_time", self.unix_time.into()),
+            ("machine", crate::machine()),
+            (
+                "config",
+                Json::obj([
+                    ("mode", self.mode.into()),
+                    ("clients", self.clients.iter().copied().collect()),
+                    ("requests_per_client", self.requests_per_client.into()),
+                    ("unique_keys", self.unique_keys.into()),
+                    ("hot_key_bias", self.hot_key_bias.into()),
+                    ("warm", self.warm.into()),
+                ]),
+            ),
+            (
+                "storm",
+                Json::obj([
+                    ("clients", storm.clients.into()),
+                    ("computed", storm.computed.into()),
+                    ("absorbed", storm.absorbed.into()),
+                    ("server_computed", storm.server_computed.into()),
+                    ("all_identical", storm.all_identical.into()),
+                    ("bit_identical_to_direct", true.into()),
+                ]),
+            ),
+        ];
+        if let Some((overloads, served)) = self.shed {
+            let shed = Json::obj([("overloads", overloads.into()), ("served", served.into())]);
+            fields.push(("shed", shed));
         }
-        let _ = writeln!(out, "  ],");
-        match self.scaling {
-            Some(ratio) => {
-                let _ = writeln!(out, r#"  "throughput_scaling": {ratio:.4}"#);
-            }
-            None => {
-                let _ = writeln!(out, r#"  "throughput_scaling": null"#);
-            }
-        }
-        let _ = writeln!(out, "}}");
-        out
+        fields.push(("loads", loads.collect()));
+        fields.push(("throughput_scaling", self.scaling.map_or(Json::Null, Json::from)));
+        Json::obj(fields).render_pretty()
     }
 }
 
@@ -188,5 +177,51 @@ mod tests {
         // The v1 identifier must be gone: consumers key on the schema
         // string to pick the parser.
         assert!(!json.contains("reliaware-loadgen-v1"), "{json}");
+    }
+
+    #[test]
+    fn record_round_trips() {
+        let storm = StormReport {
+            clients: 6,
+            ok: 6,
+            computed: 1,
+            absorbed: 5,
+            server_computed: 1,
+            library: String::new(),
+            all_identical: true,
+        };
+        let delta = StatsSnapshot { tier0_refits: 9, ..Default::default() };
+        let loads = vec![LoadReport {
+            clients: 4,
+            requests: 32,
+            ok: 31,
+            errors: 1,
+            overloads: 0,
+            memo_hits: 20,
+            computed: 8,
+            coalesced: 4,
+            seconds: 0.0,
+            throughput_rps: f64::INFINITY,
+            p50_us: 100,
+            p95_us: 400,
+            p99_us: 900,
+            stats_delta: delta,
+        }];
+        let record = LoadgenRecord { scaling: None, ..sample_record(&storm, &loads) };
+        let doc = Json::parse(&record.to_json()).unwrap();
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(LOADGEN_SCHEMA));
+        assert_eq!(doc.get("stamp").and_then(Json::as_str), Some("20160605-120000"));
+        assert_eq!(doc.get("unix_time").and_then(Json::as_u64), Some(1_465_128_000));
+        let config = doc.get("config").unwrap();
+        assert_eq!(config.get("clients"), Some(&Json::Arr(vec![1.0.into(), 4.0.into()])));
+        assert_eq!(config.get("hot_key_bias").and_then(Json::as_f64), Some(0.3));
+        assert_eq!(doc.get("storm").unwrap().get("absorbed").and_then(Json::as_u64), Some(5));
+        assert_eq!(doc.get("shed").unwrap().get("overloads").and_then(Json::as_u64), Some(2));
+        let load = &doc.get("loads").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(load.get("ok").and_then(Json::as_u64), Some(31));
+        assert_eq!(load.get("throughput_rps"), Some(&Json::Null));
+        let server = load.get("server").unwrap();
+        assert_eq!(server.get("cache_tier0_refits").and_then(Json::as_u64), Some(9));
+        assert_eq!(doc.get("throughput_scaling"), Some(&Json::Null));
     }
 }

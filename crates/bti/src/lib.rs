@@ -45,6 +45,7 @@
 
 mod degradation;
 mod duty;
+pub mod json;
 mod mechanism;
 mod model;
 pub mod rng;

@@ -88,19 +88,9 @@ pub fn synthesize_best(
     base: &MapOptions,
 ) -> Result<Netlist, SynthError> {
     lint_gate(library)?;
-    let candidates = [
-        base.clone(),
-        MapOptions { cut_size: 3, ..base.clone() },
-        MapOptions { cuts_per_node: 14, ..base.clone() },
-        MapOptions {
-            max_fanout: base.max_fanout.saturating_sub(3).max(4),
-            sizing_iterations: base.sizing_iterations + 2,
-            ..base.clone()
-        },
-    ];
     let constraints = Constraints::default();
     let mut best: Option<(f64, Netlist)> = None;
-    for options in &candidates {
+    for options in &candidate_options(base) {
         let nl = synthesize(aig, library, options)?;
         let delay = analyze(&nl, library, &constraints)?.critical_delay();
         if best.as_ref().is_none_or(|(d, _)| delay < *d) {

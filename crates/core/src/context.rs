@@ -14,7 +14,7 @@
 
 use crate::cache::{ArcCache, CacheStats};
 use crate::error::FlowError;
-use std::fmt::Write as _;
+use bti::json::Json;
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -226,56 +226,38 @@ impl RunReport {
     /// Serializes the report as `reliaware-run-v1` JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, r#"  "schema": "{}","#, Self::SCHEMA);
-        let _ = writeln!(out, r#"  "workers": {},"#, self.workers);
-        let _ = writeln!(out, r#"  "total_seconds": {:.6},"#, self.total_seconds);
-        let _ = writeln!(out, r#"  "stages": ["#);
-        for (k, s) in self.stages.iter().enumerate() {
-            let comma = if k + 1 == self.stages.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                r#"    {{"name": {}, "seconds": {:.6}, "tasks": {}, "events": {}}}{comma}"#,
-                json_string(&s.name),
-                s.seconds,
-                s.tasks,
-                s.events
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, r#"  "events": ["#);
-        for (k, e) in self.events.iter().enumerate() {
-            let comma = if k + 1 == self.events.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                r#"    {{"stage": {}, "message": {}}}{comma}"#,
-                json_string(&e.stage),
-                json_string(&e.message)
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        match &self.cache {
-            Some(c) => {
-                let _ = writeln!(
-                    out,
-                    r#"  "cache": {{"memory_hits": {}, "disk_hits": {}, "misses": {}, "coalesced": {}, "tier0_hits": {}, "tier0_fallbacks": {}, "tier0_refits": {}, "hit_rate": {:.4}}}"#,
-                    c.memory_hits,
-                    c.disk_hits,
-                    c.misses,
-                    c.coalesced,
-                    c.tier0_hits,
-                    c.tier0_fallbacks,
-                    self.tier0_refits,
-                    c.hit_rate()
-                );
-            }
-            None => {
-                let _ = writeln!(out, r#"  "cache": null"#);
-            }
-        }
-        let _ = writeln!(out, "}}");
-        out
+        let stages = self.stages.iter().map(|s| {
+            Json::obj([
+                ("name", s.name.as_str().into()),
+                ("seconds", s.seconds.into()),
+                ("tasks", s.tasks.into()),
+                ("events", s.events.into()),
+            ])
+        });
+        let events = self.events.iter().map(|e| {
+            Json::obj([("stage", e.stage.as_str().into()), ("message", e.message.as_str().into())])
+        });
+        let cache = self.cache.as_ref().map(|c| {
+            Json::obj([
+                ("memory_hits", c.memory_hits.into()),
+                ("disk_hits", c.disk_hits.into()),
+                ("misses", c.misses.into()),
+                ("coalesced", c.coalesced.into()),
+                ("tier0_hits", c.tier0_hits.into()),
+                ("tier0_fallbacks", c.tier0_fallbacks.into()),
+                ("tier0_refits", self.tier0_refits.into()),
+                ("hit_rate", c.hit_rate().into()),
+            ])
+        });
+        Json::obj([
+            ("schema", Self::SCHEMA.into()),
+            ("workers", self.workers.into()),
+            ("total_seconds", self.total_seconds.into()),
+            ("stages", stages.collect()),
+            ("events", events.collect()),
+            ("cache", cache.unwrap_or(Json::Null)),
+        ])
+        .render_pretty()
     }
 
     /// Writes the JSON report to `path`.
@@ -286,27 +268,6 @@ impl RunReport {
     pub fn write(&self, path: &Path) -> Result<(), FlowError> {
         std::fs::write(path, self.to_json()).map_err(|e| FlowError::io(path.display(), &e))
     }
-}
-
-/// Minimal JSON string rendering (quotes, backslashes, control bytes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -350,6 +311,36 @@ mod tests {
         assert!(json.contains(r#""tier0_hits": 0"#), "{json}");
         assert!(json.contains(r#""tier0_refits": 0"#), "{json}");
         assert!(json.contains(r#"cells: \"4\""#), "{json}");
+    }
+
+    #[test]
+    fn report_json_round_trips() {
+        let report = RunReport {
+            workers: 3,
+            total_seconds: 1.0 / 3.0,
+            stages: vec![StageRecord {
+                name: "sta \"x\"".into(),
+                seconds: f64::INFINITY,
+                tasks: 7,
+                events: 1,
+            }],
+            events: vec![RunEvent { stage: "sta".into(), message: "a\nb".into() }],
+            cache: Some(CacheStats { misses: 4, ..CacheStats::default() }),
+            tier0_refits: 2,
+        };
+        let doc = Json::parse(&report.to_json()).unwrap();
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(RunReport::SCHEMA));
+        assert_eq!(doc.get("workers").and_then(Json::as_u64), Some(3));
+        assert_eq!(doc.get("total_seconds").and_then(Json::as_f64), Some(1.0 / 3.0));
+        let stage = &doc.get("stages").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(stage.get("name").and_then(Json::as_str), Some("sta \"x\""));
+        assert_eq!(stage.get("seconds"), Some(&Json::Null));
+        assert_eq!(stage.get("tasks").and_then(Json::as_u64), Some(7));
+        let event = &doc.get("events").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(event.get("message").and_then(Json::as_str), Some("a\nb"));
+        let cache = doc.get("cache").unwrap();
+        assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(4));
+        assert_eq!(cache.get("tier0_refits").and_then(Json::as_u64), Some(2));
     }
 
     #[test]

@@ -40,9 +40,9 @@
 //! assert!(report.diagnostics().iter().any(|d| d.rule == Rule::UnknownCell));
 //! ```
 
-mod json;
 mod rules;
 
+use bti::json::Json;
 pub use dataflow::Extraction;
 use liberty::Library;
 use netlist::Netlist;
@@ -421,6 +421,24 @@ pub enum Location {
     },
     /// The design as a whole.
     Design,
+}
+
+impl Location {
+    /// `{"kind": …}` plus the names of the located item.
+    fn to_json(&self) -> Json {
+        let (kind, names): (&str, &[(&str, &String)]) = match self {
+            Location::Library => ("library", &[]),
+            Location::Design => ("design", &[]),
+            Location::Cell { cell } => ("cell", &[("cell", cell)]),
+            Location::Arc { cell, input, output } => {
+                ("arc", &[("cell", cell), ("input", input), ("output", output)])
+            }
+            Location::Instance { instance } => ("instance", &[("instance", instance)]),
+            Location::Net { net } => ("net", &[("net", net)]),
+        };
+        let names = names.iter().map(|&(k, v)| (k, v.as_str().into()));
+        Json::obj([("kind", kind.into())].into_iter().chain(names))
+    }
 }
 
 impl fmt::Display for Location {
@@ -834,7 +852,21 @@ impl LintReport {
     /// Serializes the report as JSON (schema documented in `DESIGN.md`).
     #[must_use]
     pub fn to_json(&self) -> String {
-        json::report_to_json(self)
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            Json::obj([
+                ("rule", d.rule.code().into()),
+                ("severity", d.severity.label().into()),
+                ("location", d.location.to_json()),
+                ("message", d.message.as_str().into()),
+            ])
+        });
+        Json::obj([
+            ("tool", "relialint".into()),
+            ("errors", self.error_count().into()),
+            ("warnings", self.warning_count().into()),
+            ("diagnostics", diagnostics.collect()),
+        ])
+        .render_pretty()
     }
 }
 
@@ -953,5 +985,67 @@ mod tests {
         assert!(text.contains("error"));
         assert!(text.contains("NL003"));
         assert!(text.contains("net n1"));
+    }
+
+    #[test]
+    fn empty_report_serializes() {
+        let json = LintReport::default().to_json();
+        assert!(json.contains("\"tool\": \"relialint\""));
+        assert!(json.contains("\"errors\": 0"));
+        assert!(json.contains("\"diagnostics\": []"));
+    }
+
+    #[test]
+    fn diagnostics_serialize_with_locations() {
+        let diagnostics = vec![
+            Diagnostic::new(
+                Rule::MultipleDrivers,
+                Location::Net { net: "n\"1".into() },
+                "driven by u0, u1".into(),
+            ),
+            Diagnostic::new(
+                Rule::AgingImprovement,
+                Location::Arc { cell: "NOR2_X1".into(), input: "A1".into(), output: "Y".into() },
+                "fall delay improves".into(),
+            ),
+        ];
+        let report = LintReport::finish(diagnostics, &LintConfig::default());
+        let json = report.to_json();
+        assert!(json.contains(r#""rule": "NL003""#), "{json}");
+        assert!(json.contains(r#""severity": "error""#), "{json}");
+        assert!(json.contains(r#""kind": "net", "net": "n\"1""#), "{json}");
+        assert!(
+            json.contains(r#""kind": "arc", "cell": "NOR2_X1", "input": "A1", "output": "Y""#),
+            "{json}"
+        );
+        assert!(json.contains(r#""errors": 1"#), "{json}");
+        assert!(json.contains(r#""warnings": 1"#), "{json}");
+    }
+
+    #[test]
+    fn report_json_round_trips() {
+        let diagnostics = vec![
+            Diagnostic::new(Rule::MultipleDrivers, Location::Design, "two\ndrivers".into()),
+            Diagnostic::new(
+                Rule::AgingImprovement,
+                Location::Instance { instance: "u\\7".into() },
+                "improves".into(),
+            ),
+        ];
+        let report = LintReport::finish(diagnostics, &LintConfig::default());
+        let doc = Json::parse(&report.to_json()).unwrap();
+        assert_eq!(doc.get("tool").and_then(Json::as_str), Some("relialint"));
+        assert_eq!(doc.get("errors").and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get("warnings").and_then(Json::as_u64), Some(1));
+        let rows = doc.get("diagnostics").and_then(Json::as_arr).unwrap();
+        for (row, d) in rows.iter().zip(report.diagnostics()) {
+            assert_eq!(row.get("rule").and_then(Json::as_str), Some(d.rule.code()));
+            assert_eq!(row.get("severity").and_then(Json::as_str), Some(d.severity.label()));
+            assert_eq!(row.get("message").and_then(Json::as_str), Some(d.message.as_str()));
+        }
+        let location = |i: usize, key: &str| rows[i].get("location")?.get(key)?.as_str();
+        assert_eq!(location(0, "kind"), Some("design"));
+        assert_eq!(location(1, "kind"), Some("instance"));
+        assert_eq!(location(1, "instance"), Some("u\\7"));
     }
 }

@@ -43,13 +43,11 @@
 //! ```
 
 pub mod client;
-pub mod json;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;
 
 pub use client::Client;
-pub use json::Json;
 pub use loadgen::{run_load, run_storm, LoadConfig, LoadReport, StormReport};
 pub use protocol::{CharRequest, Op, Request, Response, ServedVia, StatsSnapshot, PROTOCOL};
 pub use server::{ServeConfig, Server, ServerHandle};

@@ -3,10 +3,11 @@
 //! One JSON object per line in each direction. A characterization request
 //! names the cells, the slew/load (OPC) grid, the aging scenario (duty
 //! cycles, years, environment) and the simulator accuracy; the response
-//! carries the characterized library as Liberty-subset text. Because both
-//! the JSON numbers (see [`crate::json::render_f64`]) and the Liberty
-//! writer use shortest round-trip float formatting, a served library is
-//! bit-identical to one produced by calling
+//! carries the characterized library as Liberty-subset text. Both
+//! directions are built as [`bti::json::Json`] values and rendered by that
+//! codec. Because both the JSON numbers (see [`bti::json::render_f64`])
+//! and the Liberty writer use shortest round-trip float formatting, a
+//! served library is bit-identical to one produced by calling
 //! [`flow::Characterizer`] directly in the client's process.
 //!
 //! Requests also carry an `op`:
@@ -16,9 +17,8 @@
 //!   counters (used by the load generator to verify compute-exactly-once).
 //! - `"ping"` — liveness probe; responds with `status: "ok"` and no body.
 
-use crate::json::{push_escaped, render_f64, Json};
+use bti::json::Json;
 use flow::{CacheStats, CharConfig, CoalesceStats, KeyHasher};
-use std::fmt::Write as _;
 
 /// The protocol identifier every request and response carries in `v`.
 pub const PROTOCOL: &str = "reliaware-serve-v1";
@@ -71,7 +71,9 @@ pub struct CharRequest {
     pub clamp_sigmas: f64,
     /// Die seed of the variation sampling stream; the same
     /// `(sigma_vth, clamp_sigmas, var_seed)` triple always reproduces the
-    /// same sampled die. Ignored when `sigma_vth` is `0`.
+    /// same sampled die. Ignored when `sigma_vth` is `0`. Must be an
+    /// integer in `[0, 2^53)` ([`bti::json::MAX_SAFE_INT`]): JSON numbers
+    /// carry no larger integer exactly, so [`Request::parse`] refuses it.
     pub var_seed: u64,
 }
 
@@ -99,7 +101,8 @@ impl CharRequest {
 
     /// Requests a variation-sampled die: per-instance fresh-Vth offsets
     /// drawn with `sigma_vth` volts of spread from the stream seeded by
-    /// `var_seed`.
+    /// `var_seed`, an integer in `[0, 2^53)`; the server refuses a larger
+    /// seed rather than round it to another die.
     #[must_use]
     pub fn with_variation(mut self, sigma_vth: f64, var_seed: u64) -> Self {
         self.sigma_vth = sigma_vth;
@@ -176,63 +179,37 @@ impl Request {
     /// Renders the request as one JSON line (no trailing newline).
     #[must_use]
     pub fn to_line(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"v\":");
-        push_escaped(&mut out, PROTOCOL);
-        out.push_str(",\"id\":");
-        push_escaped(&mut out, &self.id);
+        let mut fields = vec![("v", PROTOCOL.into()), ("id", self.id.as_str().into())];
         match &self.op {
-            Op::Stats => out.push_str(",\"op\":\"stats\""),
-            Op::Ping => out.push_str(",\"op\":\"ping\""),
+            Op::Stats => fields.push(("op", "stats".into())),
+            Op::Ping => fields.push(("op", "ping".into())),
             Op::Characterize(c) => {
-                out.push_str(",\"op\":\"characterize\",\"cells\":[");
-                for (i, cell) in c.cells.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_escaped(&mut out, cell);
-                }
-                out.push(']');
-                push_axis(&mut out, "slews", &c.slews);
-                push_axis(&mut out, "loads", &c.loads);
-                for (k, v) in [
-                    ("lambda_pmos", c.lambda_pmos),
-                    ("lambda_nmos", c.lambda_nmos),
-                    ("years", c.years),
-                    ("temperature_k", c.temperature_k),
-                    ("vdd", c.vdd),
-                    ("max_dv", c.max_dv),
-                ] {
-                    let _ = write!(out, ",\"{k}\":{}", render_f64(v));
-                }
+                fields.extend([
+                    ("op", "characterize".into()),
+                    ("cells", c.cells.iter().map(String::as_str).collect()),
+                    ("slews", c.slews.iter().copied().collect()),
+                    ("loads", c.loads.iter().copied().collect()),
+                    ("lambda_pmos", c.lambda_pmos.into()),
+                    ("lambda_nmos", c.lambda_nmos.into()),
+                    ("years", c.years.into()),
+                    ("temperature_k", c.temperature_k.into()),
+                    ("vdd", c.vdd.into()),
+                    ("max_dv", c.max_dv.into()),
+                ]);
                 // Variation fields ride along only on sampled-die requests,
                 // so nominal request lines are byte-identical to the
                 // pre-variation protocol.
                 if c.sigma_vth != 0.0 {
-                    let _ = write!(
-                        out,
-                        ",\"sigma_vth\":{},\"clamp_sigmas\":{},\"var_seed\":{}",
-                        render_f64(c.sigma_vth),
-                        render_f64(c.clamp_sigmas),
-                        c.var_seed
-                    );
+                    fields.extend([
+                        ("sigma_vth", c.sigma_vth.into()),
+                        ("clamp_sigmas", c.clamp_sigmas.into()),
+                        ("var_seed", c.var_seed.into()),
+                    ]);
                 }
             }
         }
-        out.push('}');
-        out
+        Json::obj(fields).render()
     }
-}
-
-fn push_axis(out: &mut String, name: &str, values: &[f64]) {
-    let _ = write!(out, ",\"{name}\":[");
-    for (i, &v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&render_f64(v));
-    }
-    out.push(']');
 }
 
 fn parse_char(doc: &Json) -> Result<CharRequest, String> {
@@ -279,7 +256,10 @@ fn parse_char(doc: &Json) -> Result<CharRequest, String> {
         max_dv: num_or("max_dv", defaults.max_dv)?,
         sigma_vth: num_or("sigma_vth", 0.0)?,
         clamp_sigmas: num_or("clamp_sigmas", ptm::VariationModel::nominal_45nm().clamp_sigmas)?,
-        var_seed: num_or("var_seed", 0.0)?.max(0.0) as u64,
+        var_seed: match doc.get("var_seed") {
+            None => 0,
+            Some(v) => v.as_u64().ok_or("\"var_seed\" must be an integer in [0, 2^53)")?,
+        },
     })
 }
 
@@ -408,38 +388,30 @@ impl Response {
     /// Renders the response as one JSON line (no trailing newline).
     #[must_use]
     pub fn to_line(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"v\":");
-        push_escaped(&mut out, PROTOCOL);
-        out.push_str(",\"id\":");
+        let mut fields = vec![("v", PROTOCOL.into())];
         match self {
-            Response::Ok { id, via, micros, library } => {
-                push_escaped(&mut out, id);
-                let _ = write!(out, ",\"status\":\"ok\",\"via\":\"{}\"", via.as_str());
-                let _ = write!(out, ",\"micros\":{micros},\"library\":");
-                push_escaped(&mut out, library);
-            }
+            Response::Ok { id, via, micros, library } => fields.extend([
+                ("id", id.as_str().into()),
+                ("status", "ok".into()),
+                ("via", via.as_str().into()),
+                ("micros", (*micros).into()),
+                ("library", library.as_str().into()),
+            ]),
             Response::Stats { id, snapshot } => {
-                push_escaped(&mut out, id);
-                out.push_str(",\"status\":\"stats\"");
-                for (k, v) in snapshot.fields() {
-                    let _ = write!(out, ",\"{k}\":{v}");
-                }
+                fields.extend([("id", id.as_str().into()), ("status", "stats".into())]);
+                fields.extend(snapshot.fields().map(|(k, v)| (k, v.into())));
             }
-            Response::Error { id, stage, message } => {
-                push_escaped(&mut out, id);
-                out.push_str(",\"status\":\"error\",\"stage\":");
-                push_escaped(&mut out, stage);
-                out.push_str(",\"message\":");
-                push_escaped(&mut out, message);
-            }
+            Response::Error { id, stage, message } => fields.extend([
+                ("id", id.as_str().into()),
+                ("status", "error".into()),
+                ("stage", stage.as_str().into()),
+                ("message", message.as_str().into()),
+            ]),
             Response::Overload { id } => {
-                push_escaped(&mut out, id);
-                out.push_str(",\"status\":\"overload\"");
+                fields.extend([("id", id.as_str().into()), ("status", "overload".into())]);
             }
         }
-        out.push('}');
-        out
+        Json::obj(fields).render()
     }
 
     /// Parses one response line.
@@ -451,9 +423,7 @@ impl Response {
         let doc = Json::parse(line)?;
         let id = doc.get("id").and_then(Json::as_str).unwrap_or("").to_owned();
         let status = doc.get("status").and_then(Json::as_str).unwrap_or("");
-        let count = |name: &str| -> u64 {
-            doc.get(name).and_then(Json::as_f64).map_or(0, |v| v.max(0.0) as u64)
-        };
+        let count = |name: &str| doc.get(name).and_then(Json::as_u64).unwrap_or(0);
         match status {
             "ok" => {
                 let via = doc
@@ -637,5 +607,100 @@ mod tests {
             let line = resp.to_line();
             assert_eq!(Response::parse(&line).unwrap(), resp, "line {line}");
         }
+    }
+
+    /// The protocol's bytes: these lines must never change.
+    #[test]
+    fn wire_lines_match_the_golden_bytes() {
+        let snapshot = StatsSnapshot {
+            requests: 1,
+            served: 2,
+            errors: 3,
+            overloads: 4,
+            library: CoalesceStats { hits: 5, computed: 6, coalesced: 7 },
+            cache: CacheStats {
+                memory_hits: 8,
+                disk_hits: 9,
+                misses: 10,
+                coalesced: 11,
+                tier0_hits: 12,
+                tier0_fallbacks: 13,
+            },
+            tier0_refits: 14,
+            varied: 15,
+            library_shards: 16,
+            cache_shards: 17,
+        };
+        let varied = CharRequest::new(&["INV_X1"], 1.0, 1.0, 10.0).with_variation(0.015, 42);
+        let cases = [
+            (
+                Request::characterize(
+                    "r-1",
+                    CharRequest::new(&["INV_X1", "NAND2_X1"], 0.4, 0.6, 10.0),
+                )
+                .to_line(),
+                r#"{"v":"reliaware-serve-v1","id":"r-1","op":"characterize","cells":["INV_X1","NAND2_X1"],"slews":[5e-12,1.5e-10,9.47e-10],"loads":[5e-16,4e-15,2e-14],"lambda_pmos":4e-1,"lambda_nmos":6e-1,"years":10,"temperature_k":3.9815e2,"vdd":1.2e0,"max_dv":6e-3}"#,
+            ),
+            (
+                Request::characterize("r-2", varied).to_line(),
+                r#"{"v":"reliaware-serve-v1","id":"r-2","op":"characterize","cells":["INV_X1"],"slews":[5e-12,1.5e-10,9.47e-10],"loads":[5e-16,4e-15,2e-14],"lambda_pmos":1,"lambda_nmos":1,"years":10,"temperature_k":3.9815e2,"vdd":1.2e0,"max_dv":6e-3,"sigma_vth":1.5e-2,"clamp_sigmas":4,"var_seed":42}"#,
+            ),
+            (
+                Request::stats("s-\u{1}1").to_line(),
+                r#"{"v":"reliaware-serve-v1","id":"s-\u00011","op":"stats"}"#,
+            ),
+            (
+                Response::Ok {
+                    id: "r-1".into(),
+                    via: ServedVia::Computed,
+                    micros: 1234,
+                    library: "library (x) {\n  \"q\"\t}\n".into(),
+                }
+                .to_line(),
+                r#"{"v":"reliaware-serve-v1","id":"r-1","status":"ok","via":"computed","micros":1234,"library":"library (x) {\n  \"q\"\t}\n"}"#,
+            ),
+            (
+                Response::Error {
+                    id: "r-3".into(),
+                    stage: "usage".into(),
+                    message: "missing \"cells\" array\\".into(),
+                }
+                .to_line(),
+                r#"{"v":"reliaware-serve-v1","id":"r-3","status":"error","stage":"usage","message":"missing \"cells\" array\\"}"#,
+            ),
+            (
+                Response::Overload { id: "r-4".into() }.to_line(),
+                r#"{"v":"reliaware-serve-v1","id":"r-4","status":"overload"}"#,
+            ),
+            (
+                Response::Stats { id: "s-1".into(), snapshot }.to_line(),
+                r#"{"v":"reliaware-serve-v1","id":"s-1","status":"stats","requests":1,"served":2,"errors":3,"overloads":4,"varied":15,"lib_hits":5,"lib_computed":6,"lib_coalesced":7,"lib_shards":16,"cache_memory_hits":8,"cache_disk_hits":9,"cache_misses":10,"cache_coalesced":11,"cache_tier0_hits":12,"cache_tier0_fallbacks":13,"cache_tier0_refits":14,"cache_shards":17}"#,
+            ),
+        ];
+        for (line, golden) in cases {
+            assert_eq!(line, golden);
+        }
+    }
+
+    /// JSON numbers carry integers exactly only below 2^53: a seed outside
+    /// that range is refused, never rounded to another die.
+    #[test]
+    fn var_seed_crosses_exactly_or_is_refused() {
+        let sampled = |seed| {
+            let payload = CharRequest::new(&["INV_X1"], 0.4, 0.6, 10.0).with_variation(0.015, seed);
+            Request::characterize("s", payload)
+        };
+        for seed in [0, 42, bti::json::MAX_SAFE_INT] {
+            let line = sampled(seed).to_line();
+            assert!(line.ends_with(&format!(",\"var_seed\":{seed}}}")), "{line}");
+            assert_eq!(Request::parse(&line).unwrap(), sampled(seed));
+        }
+        let line = sampled(1).to_line();
+        for bad in ["9007199254740992", "9007199254740993", "-5", "2.7"] {
+            let bad_line = line.replace("\"var_seed\":1}", &format!("\"var_seed\":{bad}}}"));
+            let err = Request::parse(&bad_line).unwrap_err();
+            assert!(err.contains("var_seed"), "{bad}: {err}");
+        }
+        assert!(Request::parse(&sampled((1 << 60) + 3).to_line()).is_err());
     }
 }

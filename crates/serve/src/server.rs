@@ -496,4 +496,26 @@ mod tests {
         req.years = f64::NAN;
         assert!(scenario_of(&req).is_err());
     }
+
+    #[test]
+    fn deeply_nested_line_gets_a_usage_error_and_the_server_lives_on() {
+        let socket =
+            std::env::temp_dir().join(format!("reliaware_nesting_{}.sock", std::process::id()));
+        let catalog = stdcells::CellSet::nangate45_like();
+        let handle = Server::bind(ServeConfig::new(&socket), catalog).unwrap().spawn();
+        let mut conn = UnixStream::connect(&socket).unwrap();
+        conn.write_all(format!("{}\n", "[".repeat(100_000)).as_bytes()).unwrap();
+        let mut reply = String::new();
+        BufReader::new(&conn).read_line(&mut reply).unwrap();
+        match Response::parse(reply.trim_end()).unwrap() {
+            Response::Error { stage, message, .. } => {
+                assert_eq!(stage, "usage");
+                assert!(message.contains("nesting"), "{message}");
+            }
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+        let mut client = crate::Client::connect(&socket).unwrap();
+        assert_eq!(client.stats().unwrap().errors, 1);
+        handle.shutdown();
+    }
 }
