@@ -13,6 +13,9 @@
 //! dataflow --lib FILE --verilog FILE [--complete FILE] [--steps N]
 //! ```
 //!
+//! With `--json`, standard output holds the relialint report as one JSON
+//! document and every other line goes to standard error.
+//!
 //! Exit status: 0 when no error-severity diagnostics were found, 1 when at
 //! least one error fired, 2 on usage or I/O problems.
 
@@ -36,7 +39,8 @@ options:
                    guardband bound in --lib/--verilog mode
   --steps N        λ-grid resolution for validation and the bound (default 10)
   --quiet          omit the per-net interval listing
-  --json           emit the DF lint report as JSON instead of text
+  --json           emit the DF lint report as JSON instead of text; it is
+                   then all of stdout, and the other lines go to stderr
   --report FILE    write a reliaware-run-v1 JSON run report
 
 exit status:
@@ -133,33 +137,41 @@ fn run() -> Result<ExitCode, FlowError> {
         (nl, library, complete)
     };
 
+    // Under --json, stdout carries the relialint report alone.
+    let say = |line: std::fmt::Arguments| {
+        if args.json {
+            eprintln!("{line}");
+        } else {
+            println!("{line}");
+        }
+    };
     let df = ctx.stage("dataflow", || NetlistDataflow::analyze(&netlist, &library));
-    println!(
+    say(format_args!(
         "module {}: {} nets, {} instances ({} widened, {} skipped)",
         netlist.name,
         netlist.net_count(),
         netlist.instance_count(),
         df.widened_instances().len(),
         df.skipped_instances().len()
-    );
+    ));
 
     if !args.quiet {
-        println!("\nper-net signal-probability intervals:");
+        say(format_args!("\nper-net signal-probability intervals:"));
         for k in 0..netlist.net_count() {
             let net = netlist::NetId::from_index(k);
-            println!("  {:<24} {}", netlist.net_name(net), df.interval(net));
+            say(format_args!("  {:<24} {}", netlist.net_name(net), df.interval(net)));
         }
-        println!("\nper-instance λ bounds (gate-average extraction):");
+        say(format_args!("\nper-instance λ bounds (gate-average extraction):"));
         for inst in netlist.instance_ids() {
             if let Some(b) = df.lambda_bounds(&netlist, &library, inst, Extraction::GateAverage) {
-                println!("  {:<24} {b}", netlist.instance(inst).name);
+                say(format_args!("  {:<24} {b}", netlist.instance(inst).name));
             }
         }
     }
 
     let config = LintConfig { lambda_steps: args.steps, ..LintConfig::default() };
     let report = ctx.stage("lint", || LintReport::run(&netlist, &library, &config));
-    println!();
+    say(format_args!(""));
     if args.json {
         print!("{}", report.to_json());
     } else {
@@ -178,7 +190,7 @@ fn run() -> Result<ExitCode, FlowError> {
                     &sta::Constraints::default(),
                 )
             })?;
-            println!(
+            say(format_args!(
                 "\nstatic worst-case bound: fresh {:.2} ps, bound {:.2} ps, \
                  guardband {:.2} ps ({:+.1}%, {})",
                 bound.fresh_delay * 1e12,
@@ -186,10 +198,10 @@ fn run() -> Result<ExitCode, FlowError> {
                 bound.guardband() * 1e12,
                 bound.guardband() / bound.fresh_delay * 100.0,
                 if bound.exact { "exact intervals" } else { "widened/skipped: conservative" }
-            );
+            ));
         }
         None => {
-            println!("\nstatic worst-case bound: skipped (no --complete library)");
+            say(format_args!("\nstatic worst-case bound: skipped (no --complete library)"));
         }
     }
 

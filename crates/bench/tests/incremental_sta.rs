@@ -87,6 +87,8 @@ fn drive(design: &str, seed: u64, changes: usize) {
                 .expect("constraint edit");
                 let full =
                     analyze(inc.netlist(), inc.library(), inc.constraints()).expect("full analyze");
+                let fast = inc.critical_delay().expect("report-free critical delay");
+                assert_eq!(fast.to_bits(), full.critical_delay().to_bits(), "step {step}");
                 assert_eq!(inc.report().expect("incremental report"), &full);
                 continue;
             }
@@ -94,6 +96,8 @@ fn drive(design: &str, seed: u64, changes: usize) {
         inc.recell(inst, &change)
             .unwrap_or_else(|e| panic!("step {step}: recell to {change}: {e}"));
         let full = analyze(inc.netlist(), inc.library(), inc.constraints()).expect("full analyze");
+        let fast = inc.critical_delay().expect("report-free critical delay");
+        assert_eq!(fast.to_bits(), full.critical_delay().to_bits(), "step {step}");
         assert_eq!(
             inc.report().expect("incremental report"),
             &full,

@@ -442,16 +442,35 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses a number by RFC 8259's grammar,
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`: no leading
+    /// zeros, and a digit on both sides of the point and after the `e`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
+        let at = |p: &Self| p.bytes.get(p.pos).copied();
+        if at(self) == Some(b'-') {
             self.pos += 1;
         }
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
+        match at(self) {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(self.fail("invalid number")),
+        }
+        if at(self) == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.fail("invalid number"));
+            }
+        }
+        if matches!(at(self), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(at(self), Some(b'+' | b'-')) {
                 self.pos += 1;
-            } else {
-                break;
+            }
+            if self.digits() == 0 {
+                return Err(self.fail("invalid number"));
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
@@ -461,6 +480,15 @@ impl Parser<'_> {
             return Err(self.fail("number out of range"));
         }
         Ok(Json::Num(v))
+    }
+
+    /// Consumes a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -484,7 +512,21 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"unterminated", "{} extra", "1e999"] {
+        for bad in [
+            "",
+            "{",
+            "{\"a\":}",
+            "[1,]",
+            "tru",
+            "\"unterminated",
+            "{} extra",
+            "1e999",
+            "01",
+            "00.5",
+            "1.",
+            "-.5",
+            "1.e3",
+        ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
     }

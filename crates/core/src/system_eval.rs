@@ -12,9 +12,8 @@ use circuits::{fixed, Design};
 use imgproc::{psnr, GrayImage};
 use liberty::Library;
 use logicsim::{SimError, TimedSim};
-use netlist::{ArcDelays, DelayAnnotation, NetId, Netlist, NetlistError};
+use netlist::{ArcDelays, DelayAnnotation, Netlist, NetlistError};
 use sta::{analyze, Constraints, StaError};
-use std::collections::HashSet;
 
 /// Builds the per-arc delay annotation of `netlist` under `library` by
 /// running STA and freezing each arc's delay at its propagated input slew
@@ -37,9 +36,6 @@ pub fn annotation_from_sta(
         eprintln!("[relialint] {d}");
     }
     let report = analyze(netlist, library, constraints)?;
-    let sinks = netlist.sinks(library)?;
-    let output_nets: HashSet<NetId> = netlist.output_nets().collect();
-    let output_load = constraints.output_load.unwrap_or(library.default_output_load);
     let mut ann = DelayAnnotation::new();
     for id in netlist.instance_ids() {
         let inst = netlist.instance(id);
@@ -51,23 +47,7 @@ pub fn annotation_from_sta(
         };
         for out in &cell.outputs {
             let Some(out_net) = inst.net_on(&out.name) else { continue };
-            let mut load = 0.0;
-            let mut fanout = 0usize;
-            if let Some(pins) = sinks.get(&out_net) {
-                for (s, p) in pins {
-                    if let Some(c) =
-                        library.cell(&netlist.instance(*s).cell).and_then(|c| c.input_cap(p))
-                    {
-                        load += c;
-                        fanout += 1;
-                    }
-                }
-            }
-            if output_nets.contains(&out_net) {
-                load += output_load;
-                fanout += 1;
-            }
-            load += library.wire_cap_per_fanout * fanout as f64;
+            let load = report.load(out_net);
             for arc in &out.arcs {
                 let Some(in_net) = inst.net_on(&arc.related_pin) else { continue };
                 let slew = report.slew_edge(in_net, true).max(report.slew_edge(in_net, false));

@@ -21,6 +21,13 @@ pub enum StaError {
         /// Output pin.
         output: String,
     },
+    /// An incremental change named an instance the netlist does not have.
+    UnknownInstance {
+        /// The instance index asked for.
+        index: usize,
+        /// Instances in the netlist.
+        instances: usize,
+    },
     /// A pre-flight lint gate rejected the inputs before analysis started
     /// (see the `lint` crate; `message` carries the rendered diagnostics).
     Preflight {
@@ -38,6 +45,9 @@ impl fmt::Display for StaError {
             }
             StaError::MissingArc { cell, input, output } => {
                 write!(f, "cell {cell} has no timing arc {input} -> {output}")
+            }
+            StaError::UnknownInstance { index, instances } => {
+                write!(f, "instance index {index} is outside the netlist ({instances} instances)")
             }
             StaError::Preflight { message } => write!(f, "pre-flight lint failed: {message}"),
         }

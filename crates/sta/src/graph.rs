@@ -1,52 +1,85 @@
-//! Topological slew/arrival propagation — the analysis core.
+//! The compiled timing graph and its one levelized propagation loop.
 //!
-//! The per-instance evaluation ([`EvalCtx::eval_comb`] / [`EvalCtx::eval_flop`])
-//! and the report extraction ([`extract_report`]) are shared with the
-//! incremental engine in [`crate::incremental`]: both paths execute the
-//! *same* arc iteration in the *same* order, which is what makes incremental
-//! results bit-identical to a full [`analyze`] rather than merely close.
+//! [`TimingGraph::compile`] turns a (netlist, library, constraints) triple
+//! into dense tables once: the resolved cell of every instance, the net and
+//! arc index behind every cell pin, per-net sink and driver tables, every
+//! net's load and a levelized evaluation order. [`analyze`] and the
+//! incremental engine in [`crate::incremental`] both run
+//! [`TimingGraph::propagate`] on it — the same arc iteration in the same
+//! order — which is what makes incremental results bit-identical to a full
+//! [`analyze`] rather than merely close.
 
-use crate::path::{net_load, PathSpec, PathStep};
+use crate::path::{PathSpec, PathStep};
 use crate::report::{Endpoint, EndpointKind, TimingReport};
 use crate::{Constraints, StaError};
-use liberty::{Cell, CellClass, Library, TimingSense};
+use liberty::{Cell, CellClass, CellId, Library, TimingSense};
 use netlist::{InstId, NetId, Netlist, NetlistError};
-use std::collections::{HashMap, HashSet};
+use std::collections::VecDeque;
 
-/// The predecessor of a net's worst edge: which arc of which instance set it.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Pred {
-    pub(crate) inst: InstId,
-    pub(crate) input: String,
-    pub(crate) input_rising: bool,
-    pub(crate) output: String,
-    pub(crate) delay: f64,
+/// An absent net, pin, driver or arc in the dense tables.
+const NONE: u32 = u32::MAX;
+/// The arc slot of an input its output does not depend on.
+const SKIP: u32 = u32::MAX - 1;
+/// The input of a flop launch: the flop's clock pin.
+const CLOCK: u32 = u32::MAX;
+
+/// Narrows a table index to the `u32` the dense tables store.
+#[allow(clippy::cast_possible_truncation)]
+fn ix(i: usize) -> u32 {
+    i as u32
 }
 
-/// One recorded timing edge `(out net, out rising, in net, in rising, delay)`
-/// in forward topological order — replayed in reverse for the required-time
-/// pass (an order-independent min-fold, so any valid topological order gives
-/// bit-identical required times).
-pub(crate) type BackEdge = (usize, bool, usize, bool, f64);
+/// The predecessor of a net's worst edge: which arc of which instance set
+/// it, by pin index into the instance's cell. Names are looked up only when
+/// the critical path is extracted.
+#[derive(Debug, Clone, Copy)]
+struct Pred {
+    inst: u32,
+    /// Index into the cell's inputs, or [`CLOCK`] for a flop launch.
+    input: u32,
+    /// Index into the cell's outputs.
+    output: u32,
+    input_rising: bool,
+    delay: f64,
+}
+
+/// One timing edge, replayed in reverse evaluation order by the
+/// required-time pass.
+#[derive(Debug, Clone, Copy)]
+struct BackEdge {
+    out_net: u32,
+    in_net: u32,
+    out_rising: bool,
+    in_rising: bool,
+    delay: f64,
+}
 
 /// The per-net forward state of an analysis: worst/earliest arrivals, slews
 /// and worst-path predecessors for both edge polarities.
-#[derive(Debug, Clone)]
-pub(crate) struct NetState {
-    pub(crate) arrival_rise: Vec<f64>,
-    pub(crate) arrival_fall: Vec<f64>,
-    pub(crate) min_rise: Vec<f64>,
-    pub(crate) min_fall: Vec<f64>,
-    pub(crate) slew_rise: Vec<f64>,
-    pub(crate) slew_fall: Vec<f64>,
-    pub(crate) pred_rise: Vec<Option<Pred>>,
-    pub(crate) pred_fall: Vec<Option<Pred>>,
+#[derive(Debug)]
+struct NetState {
+    arrival_rise: Vec<f64>,
+    arrival_fall: Vec<f64>,
+    min_rise: Vec<f64>,
+    min_fall: Vec<f64>,
+    slew_rise: Vec<f64>,
+    slew_fall: Vec<f64>,
+    pred_rise: Vec<Option<Pred>>,
+    pred_fall: Vec<Option<Pred>>,
+}
+
+/// The new state of one output net, as one evaluation computed it.
+struct NetValue {
+    arrival: [f64; 2],
+    min: [f64; 2],
+    slew: [f64; 2],
+    pred: [Option<Pred>; 2],
 }
 
 impl NetState {
     /// State before any instance has been evaluated: every net launches at
     /// t = 0 with the boundary input slew.
-    pub(crate) fn fresh(n_nets: usize, input_slew: f64) -> Self {
+    fn fresh(n_nets: usize, input_slew: f64) -> Self {
         NetState {
             arrival_rise: vec![0.0; n_nets],
             arrival_fall: vec![0.0; n_nets],
@@ -59,228 +92,860 @@ impl NetState {
         }
     }
 
-    /// Resets one net to its pre-evaluation defaults. The incremental engine
-    /// calls this before re-evaluating a net's driver so a re-evaluation
-    /// starts from the same state a full analysis would.
-    pub(crate) fn reset_net(&mut self, net: usize, input_slew: f64) {
-        self.arrival_rise[net] = 0.0;
-        self.arrival_fall[net] = 0.0;
-        self.min_rise[net] = 0.0;
-        self.min_fall[net] = 0.0;
-        self.slew_rise[net] = input_slew;
-        self.slew_fall[net] = input_slew;
-        self.pred_rise[net] = None;
-        self.pred_fall[net] = None;
-    }
-
-    /// The six value fields of one net as raw bits — bitwise equality is the
-    /// dirty-cone propagation criterion (predecessors are a deterministic
-    /// function of these inputs, so equal values imply equal downstream
-    /// state).
-    pub(crate) fn value_bits(&self, net: usize) -> [u64; 6] {
-        [
-            self.arrival_rise[net].to_bits(),
-            self.arrival_fall[net].to_bits(),
-            self.min_rise[net].to_bits(),
-            self.min_fall[net].to_bits(),
-            self.slew_rise[net].to_bits(),
-            self.slew_fall[net].to_bits(),
-        ]
+    /// Stores `v` as net `i`'s state and reports whether any of the six
+    /// values changed bits. Bitwise equality is the propagation criterion:
+    /// predecessors are a deterministic function of the same inputs, so
+    /// equal values imply equal downstream state.
+    fn set(&mut self, i: usize, v: NetValue) -> bool {
+        let old = [
+            self.arrival_rise[i],
+            self.arrival_fall[i],
+            self.min_rise[i],
+            self.min_fall[i],
+            self.slew_rise[i],
+            self.slew_fall[i],
+        ];
+        let new = [v.arrival[0], v.arrival[1], v.min[0], v.min[1], v.slew[0], v.slew[1]];
+        [self.arrival_rise[i], self.arrival_fall[i]] = v.arrival;
+        [self.min_rise[i], self.min_fall[i]] = v.min;
+        [self.slew_rise[i], self.slew_fall[i]] = v.slew;
+        [self.pred_rise[i], self.pred_fall[i]] = v.pred;
+        old.iter().zip(&new).any(|(a, b)| a.to_bits() != b.to_bits())
     }
 }
 
-/// Everything the per-instance evaluation reads besides [`NetState`].
-pub(crate) struct EvalCtx<'a> {
-    pub(crate) netlist: &'a Netlist,
-    pub(crate) library: &'a Library,
-    pub(crate) sinks: &'a HashMap<NetId, Vec<(InstId, String)>>,
-    pub(crate) output_nets: &'a HashSet<NetId>,
-    pub(crate) input_slew: f64,
-    pub(crate) output_load: f64,
+/// A netlist compiled against one library and constraint set, with the
+/// forward timing state propagated over it.
+///
+/// Structure (sinks, drivers, levels) depends on the netlist and the pin
+/// roles of its cells only, so an instance can be re-celled in place as
+/// long as every connected pin keeps its role ([`Self::recell`]).
+#[derive(Debug)]
+pub(crate) struct TimingGraph {
+    input_slew: f64,
+    output_load: f64,
+    wire_cap: f64,
+    /// The resolved cell of every instance.
+    cells: Vec<CellId>,
+    /// Per instance: where its cell-shaped pin table starts in `pins`, and
+    /// its length. The table holds the net of each cell input, then of each
+    /// cell output ([`NONE`] if unconnected); a flop adds its clock net and
+    /// one arc slot per output (the clock arc), a combinational cell one
+    /// arc slot per (output, input) pair. An arc slot indexes the output's
+    /// `arcs`, or is [`SKIP`] or [`NONE`] (missing).
+    pin_base: Vec<u32>,
+    pin_len: Vec<u32>,
+    pins: Vec<u32>,
+    /// Per instance: where its back edges start in `edges`, how many fit
+    /// and how many its last evaluation wrote.
+    edge_base: Vec<u32>,
+    edge_cap: Vec<u32>,
+    edge_len: Vec<u32>,
+    edges: Vec<BackEdge>,
+    /// Per connection, instance-major (instance `i` owns
+    /// `conn_base[i]..conn_base[i + 1]`): the net and the index of the cell
+    /// input its pin names, or [`NONE`].
+    conn_base: Vec<u32>,
+    conn_net: Vec<u32>,
+    conn_input: Vec<u32>,
+    /// Per net (`sink_base[n]..sink_base[n + 1]`): the connections of
+    /// input pins on it, as `(instance, connection)`, in instance and
+    /// connection order — the order [`Netlist::sinks`] lists them in.
+    sink_base: Vec<u32>,
+    sinks: Vec<(u32, u32)>,
+    /// Per net: its driving instance, or [`NONE`].
+    driver: Vec<u32>,
+    is_output: Vec<bool>,
+    /// Per net: total capacitive load, as [`crate::path::net_load`] sums it.
+    loads: Vec<f64>,
+    /// Primary output nets in port order.
+    output_ports: Vec<u32>,
+    /// Flops in id order with their data net ([`NONE`] if unconnected).
+    flops: Vec<(u32, u32)>,
+    /// Evaluation order: stage 0 holds the flops, stage `L + 1` the
+    /// combinational instances of logic level `L`, ascending id within a
+    /// stage. Every sink of a stage's outputs sits at a later stage.
+    stage_of: Vec<u32>,
+    stages: Vec<Vec<u32>>,
+    /// Instances waiting for evaluation, per stage.
+    pending: Vec<Vec<u32>>,
+    queued: Vec<bool>,
+    state: NetState,
 }
 
-impl EvalCtx<'_> {
-    fn load_of(&self, net: NetId) -> f64 {
-        net_load(self.library, self.sinks, self.netlist, net, self.output_nets, self.output_load)
-    }
-
-    /// Launches a flop's outputs from the clock edge: writes the Q-net
-    /// state and appends the launch back-edges.
+impl TimingGraph {
+    /// Validates and compiles `netlist` against `library` and propagates
+    /// every instance: what a full analysis runs. Also returns the number of
+    /// evaluations.
     ///
     /// # Errors
     ///
-    /// Returns [`StaError::MissingArc`] when an output lacks a clock arc.
-    pub(crate) fn eval_flop(
-        &self,
-        id: InstId,
-        cell: &Cell,
-        state: &mut NetState,
-        back_edges: &mut Vec<BackEdge>,
-    ) -> Result<(), StaError> {
-        let CellClass::Flop { clock, .. } = &cell.class else { return Ok(()) };
-        let inst = self.netlist.instance(id);
-        for out in &cell.outputs {
-            let Some(net) = inst.net_on(&out.name) else { continue };
-            let arc = out.arc_from(clock).ok_or_else(|| StaError::MissingArc {
-                cell: cell.name.clone(),
-                input: clock.clone(),
-                output: out.name.clone(),
-            })?;
-            let load = self.load_of(net);
-            let i = net.index();
-            state.arrival_rise[i] = arc.delay(true, self.input_slew, load);
-            state.arrival_fall[i] = arc.delay(false, self.input_slew, load);
-            state.min_rise[i] = state.arrival_rise[i];
-            state.min_fall[i] = state.arrival_fall[i];
-            state.slew_rise[i] = arc.transition(true, self.input_slew, load);
-            state.slew_fall[i] = arc.transition(false, self.input_slew, load);
-            if let Some(ck_net) = inst.net_on(clock) {
-                back_edges.push((i, true, ck_net.index(), true, state.arrival_rise[i]));
-                back_edges.push((i, false, ck_net.index(), true, state.arrival_fall[i]));
-            }
-            state.pred_rise[i] = Some(Pred {
-                inst: id,
-                input: clock.clone(),
-                input_rising: true,
-                output: out.name.clone(),
-                delay: state.arrival_rise[i],
-            });
-            state.pred_fall[i] = Some(Pred {
-                inst: id,
-                input: clock.clone(),
-                input_rising: true,
-                output: out.name.clone(),
-                delay: state.arrival_fall[i],
-            });
+    /// Returns [`StaError`] for structurally broken netlists, combinational
+    /// loops or cells without the required timing arcs.
+    pub(crate) fn build(
+        netlist: &Netlist,
+        library: &Library,
+        constraints: &Constraints,
+    ) -> Result<(Self, usize), StaError> {
+        netlist.validate(library)?;
+        let mut graph = Self::compile(netlist, library, constraints)?;
+        let evaluated = graph.propagate(netlist, library)?;
+        Ok((graph, evaluated))
+    }
+
+    /// Compiles `netlist` against `library`, levelizes it and queues every
+    /// instance for evaluation. `netlist` must pass [`Netlist::validate`]
+    /// against `library`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StaError::CombinationalLoop`] for cyclic logic and
+    /// [`StaError::Netlist`] for an unknown cell.
+    fn compile(
+        netlist: &Netlist,
+        library: &Library,
+        constraints: &Constraints,
+    ) -> Result<Self, StaError> {
+        let n_nets = netlist.net_count();
+        let n_inst = netlist.instance_count();
+        let input_slew = constraints.input_slew.unwrap_or(library.default_input_slew);
+        let mut g = TimingGraph {
+            input_slew,
+            output_load: constraints.output_load.unwrap_or(library.default_output_load),
+            wire_cap: library.wire_cap_per_fanout,
+            cells: Vec::with_capacity(n_inst),
+            pin_base: vec![0; n_inst],
+            pin_len: vec![0; n_inst],
+            pins: Vec::new(),
+            edge_base: vec![0; n_inst],
+            edge_cap: vec![0; n_inst],
+            edge_len: vec![0; n_inst],
+            edges: Vec::new(),
+            conn_base: Vec::with_capacity(n_inst + 1),
+            conn_net: Vec::new(),
+            conn_input: Vec::new(),
+            sink_base: vec![0; n_nets + 1],
+            sinks: Vec::new(),
+            driver: vec![NONE; n_nets],
+            is_output: vec![false; n_nets],
+            loads: Vec::with_capacity(n_nets),
+            output_ports: netlist.output_nets().map(|n| ix(n.index())).collect(),
+            flops: Vec::new(),
+            stage_of: vec![0; n_inst],
+            stages: Vec::new(),
+            pending: Vec::new(),
+            queued: vec![true; n_inst],
+            state: NetState::fresh(n_nets, input_slew),
+        };
+        for &n in &g.output_ports {
+            g.is_output[n as usize] = true;
         }
+
+        // Cells, connections and drivers.
+        g.conn_base.push(0);
+        for (k, inst) in netlist.instances().iter().enumerate() {
+            let id = library.cell_id(&inst.cell).ok_or_else(|| {
+                StaError::Netlist(NetlistError::UnknownCell {
+                    instance: inst.name.clone(),
+                    cell: inst.cell.clone(),
+                })
+            })?;
+            g.cells.push(id);
+            let cell = library.cell_at(id);
+            for (pin, net) in &inst.connections {
+                g.conn_net.push(ix(net.index()));
+                g.conn_input.push(input_index(cell, pin));
+                if cell.output(pin).is_some() {
+                    g.driver[net.index()] = ix(k);
+                }
+            }
+            g.conn_base.push(ix(g.conn_net.len()));
+            if let CellClass::Flop { data, .. } = &cell.class {
+                g.flops.push((ix(k), inst.net_on(data).map_or(NONE, |n| ix(n.index()))));
+            }
+            g.place(netlist, library, k);
+        }
+
+        // Sinks, counted then filled in instance and connection order.
+        for (c, &input) in g.conn_input.iter().enumerate() {
+            if input != NONE {
+                g.sink_base[g.conn_net[c] as usize + 1] += 1;
+            }
+        }
+        for n in 0..n_nets {
+            g.sink_base[n + 1] += g.sink_base[n];
+        }
+        let mut fill: Vec<u32> = g.sink_base[..n_nets].to_vec();
+        g.sinks = vec![(0, 0); g.sink_base[n_nets] as usize];
+        for k in 0..n_inst {
+            let (lo, hi) = (g.conn_base[k], g.conn_base[k + 1]);
+            for c in lo..hi {
+                if g.conn_input[c as usize] != NONE {
+                    let slot = &mut fill[g.conn_net[c as usize] as usize];
+                    g.sinks[*slot as usize] = (ix(k), c - lo);
+                    *slot += 1;
+                }
+            }
+        }
+
+        g.loads = (0..n_nets).map(|n| g.net_load(library, n)).collect();
+        g.levelize(netlist, library)?;
+        Ok(g)
+    }
+
+    /// Writes instance `k`'s cell-shaped pin table and sizes its edge
+    /// range, in place when the old ranges are large enough.
+    fn place(&mut self, netlist: &Netlist, library: &Library, k: usize) {
+        let inst = netlist.instance(InstId::from_index(k));
+        let cell = library.cell_at(self.cells[k]);
+        let net_on = |pin: &str| inst.net_on(pin).map_or(NONE, |n| ix(n.index()));
+        let start = self.pins.len();
+        self.pins.extend(cell.inputs.iter().map(|p| net_on(&p.name)));
+        self.pins.extend(cell.outputs.iter().map(|p| net_on(&p.name)));
+        let connected = |pins: &[u32], o: usize| pins[start + cell.inputs.len() + o] != NONE;
+        let mut edges = 0u32;
+        match &cell.class {
+            CellClass::Flop { clock, .. } => {
+                let clock_net = net_on(clock);
+                self.pins.push(clock_net);
+                for (o, out) in cell.outputs.iter().enumerate() {
+                    let slot = out.arcs.iter().position(|a| a.related_pin == *clock);
+                    if slot.is_some() && clock_net != NONE && connected(&self.pins, o) {
+                        edges += 2;
+                    }
+                    self.pins.push(slot.map_or(NONE, ix));
+                }
+            }
+            CellClass::Combinational => {
+                for (o, out) in cell.outputs.iter().enumerate() {
+                    let connected = connected(&self.pins, o);
+                    for input in &cell.inputs {
+                        let slot = match out.arcs.iter().position(|a| a.related_pin == input.name) {
+                            Some(a) => {
+                                if connected {
+                                    edges += match out.arcs[a].sense {
+                                        TimingSense::NonUnate => 4,
+                                        _ => 2,
+                                    };
+                                }
+                                ix(a)
+                            }
+                            // Outputs genuinely independent of this input
+                            // (e.g. HA's CO vs no pin) are skipped only if
+                            // the function ignores the pin; otherwise the
+                            // evaluation reports a missing arc.
+                            None if out.function.vars().contains(&input.name) => NONE,
+                            None => SKIP,
+                        };
+                        self.pins.push(slot);
+                    }
+                }
+            }
+        }
+        let len = self.pins.len() - start;
+        if len <= self.pin_len[k] as usize {
+            self.pins.copy_within(start.., self.pin_base[k] as usize);
+            self.pins.truncate(start);
+        } else {
+            self.pin_base[k] = ix(start);
+            self.pin_len[k] = ix(len);
+        }
+        if edges > self.edge_cap[k] {
+            self.edge_base[k] = ix(self.edges.len());
+            self.edge_cap[k] = edges;
+            let blank =
+                BackEdge { out_net: 0, in_net: 0, out_rising: false, in_rising: false, delay: 0.0 };
+            self.edges.resize(self.edges.len() + edges as usize, blank);
+        }
+    }
+
+    /// Total capacitive load of `net`: connected input pins, the per-fanout
+    /// wire model and the external load if it is a primary output — summed
+    /// in [`crate::path::net_load`]'s order, so the bits agree.
+    fn net_load(&self, library: &Library, net: usize) -> f64 {
+        let mut load = 0.0;
+        let mut fanout = 0usize;
+        for &(k, c) in &self.sinks[self.sink_base[net] as usize..self.sink_base[net + 1] as usize] {
+            let input = self.conn_input[(self.conn_base[k as usize] + c) as usize];
+            if input != NONE {
+                load += library.cell_at(self.cells[k as usize]).inputs[input as usize].capacitance;
+                fanout += 1;
+            }
+        }
+        if self.is_output[net] {
+            load += self.output_load;
+            fanout += 1;
+        }
+        load + self.wire_cap * fanout as f64
+    }
+
+    /// Sorts instances into stages (see `stages`) by a Kahn pass over the
+    /// combinational instances and queues all of them.
+    fn levelize(&mut self, netlist: &Netlist, library: &Library) -> Result<(), StaError> {
+        let n_inst = self.cells.len();
+        let comb: Vec<bool> = self
+            .cells
+            .iter()
+            .map(|&c| matches!(library.cell_at(c).class, CellClass::Combinational))
+            .collect();
+        let comb_driven =
+            |g: &Self, net: usize| g.driver[net] != NONE && comb[g.driver[net] as usize];
+        // Per combinational instance: its input connections on nets that a
+        // combinational instance drives and that are not levelized yet.
+        let mut waiting = vec![0u32; n_inst];
+        let mut ready: VecDeque<usize> = VecDeque::new();
+        for k in (0..n_inst).filter(|&k| comb[k]) {
+            for c in self.conn_base[k] as usize..self.conn_base[k + 1] as usize {
+                if self.conn_input[c] != NONE && comb_driven(self, self.conn_net[c] as usize) {
+                    waiting[k] += 1;
+                }
+            }
+            if waiting[k] == 0 {
+                ready.push_back(k);
+            }
+        }
+        // A combinational instance sits one level above its deepest input
+        // net; nets without a combinational driver are level 0.
+        let mut net_level = vec![0u32; self.driver.len()];
+        let mut deepest = 0u32;
+        while let Some(k) = ready.pop_front() {
+            let conns = self.conn_base[k] as usize..self.conn_base[k + 1] as usize;
+            let level = conns
+                .clone()
+                .filter(|&c| self.conn_input[c] != NONE)
+                .map(|c| net_level[self.conn_net[c] as usize])
+                .max()
+                .unwrap_or(0);
+            self.stage_of[k] = level + 1;
+            deepest = deepest.max(level + 1);
+            for c in conns {
+                let net = self.conn_net[c] as usize;
+                if self.driver[net] != ix(k) {
+                    continue;
+                }
+                net_level[net] = level + 1;
+                for s in self.sink_base[net] as usize..self.sink_base[net + 1] as usize {
+                    let sink = self.sinks[s].0 as usize;
+                    if comb[sink] {
+                        waiting[sink] -= 1;
+                        if waiting[sink] == 0 {
+                            ready.push_back(sink);
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(starved) = (0..n_inst).find(|&k| comb[k] && self.stage_of[k] == 0) {
+            // Name an instance actually *on* a cycle, not merely starved
+            // downstream of one — the standalone detector tells them apart.
+            let on_cycle = crate::loops::combinational_loops(netlist, library)
+                .into_iter()
+                .flatten()
+                .next()
+                .unwrap_or(InstId::from_index(starved));
+            let name = netlist.instance(on_cycle).name.clone();
+            return Err(StaError::CombinationalLoop { instance: name });
+        }
+        self.stages = vec![Vec::new(); deepest as usize + 1];
+        for k in 0..n_inst {
+            self.stages[self.stage_of[k] as usize].push(ix(k));
+        }
+        self.pending.clone_from(&self.stages);
+        Ok(())
+    }
+
+    /// Queues instance `k` for the next [`Self::propagate`].
+    fn queue(&mut self, k: usize) {
+        if !self.queued[k] {
+            self.queued[k] = true;
+            self.pending[self.stage_of[k] as usize].push(ix(k));
+        }
+    }
+
+    /// Queues the combinational sinks of `net`. Flops never need it: their
+    /// launch depends on their own cell and Q-net load only.
+    fn queue_sinks(&mut self, net: usize) {
+        for s in self.sink_base[net] as usize..self.sink_base[net + 1] as usize {
+            let k = self.sinks[s].0 as usize;
+            if self.stage_of[k] > 0 {
+                self.queue(k);
+            }
+        }
+    }
+
+    /// Evaluates every queued instance stage by stage; an instance whose
+    /// output values change queues its combinational sinks. Each instance
+    /// reads only settled fanin, so the result is the same for any set of
+    /// queued instances that covers every instance whose inputs, cell or
+    /// load changed. Returns the number of evaluations.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StaError`] for missing arcs and unconnected input pins.
+    pub(crate) fn propagate(
+        &mut self,
+        netlist: &Netlist,
+        library: &Library,
+    ) -> Result<usize, StaError> {
+        let mut evaluated = 0usize;
+        for stage in 0..self.pending.len() {
+            let mut batch = std::mem::take(&mut self.pending[stage]);
+            for &k in &batch {
+                self.queued[k as usize] = false;
+                evaluated += 1;
+                if stage == 0 {
+                    self.eval_flop(library, k as usize)?;
+                } else {
+                    self.eval_comb(netlist, library, k as usize)?;
+                }
+            }
+            batch.clear();
+            self.pending[stage] = batch;
+        }
+        Ok(evaluated)
+    }
+
+    /// Launches a flop's outputs from the clock edge at the boundary input
+    /// slew and records the launch back-edges.
+    fn eval_flop(&mut self, library: &Library, k: usize) -> Result<(), StaError> {
+        let cell = library.cell_at(self.cells[k]);
+        let CellClass::Flop { clock, .. } = &cell.class else { return Ok(()) };
+        let (n_in, n_out) = (cell.inputs.len(), cell.outputs.len());
+        let base = self.pin_base[k] as usize;
+        let clock_net = self.pins[base + n_in + n_out];
+        let mut cursor = self.edge_base[k] as usize;
+        for (o, out) in cell.outputs.iter().enumerate() {
+            let net = self.pins[base + n_in + o];
+            if net == NONE {
+                continue;
+            }
+            let slot = self.pins[base + n_in + n_out + 1 + o];
+            if slot == NONE {
+                return Err(StaError::MissingArc {
+                    cell: cell.name.clone(),
+                    input: clock.clone(),
+                    output: out.name.clone(),
+                });
+            }
+            let arc = &out.arcs[slot as usize];
+            let load = self.loads[net as usize];
+            let arrival =
+                [arc.delay(true, self.input_slew, load), arc.delay(false, self.input_slew, load)];
+            let slew = [
+                arc.transition(true, self.input_slew, load),
+                arc.transition(false, self.input_slew, load),
+            ];
+            if clock_net != NONE {
+                for (rising, delay) in [(true, arrival[0]), (false, arrival[1])] {
+                    self.edges[cursor] = BackEdge {
+                        out_net: net,
+                        in_net: clock_net,
+                        out_rising: rising,
+                        in_rising: true,
+                        delay,
+                    };
+                    cursor += 1;
+                }
+            }
+            let pred = |delay| {
+                Some(Pred { inst: ix(k), input: CLOCK, output: ix(o), input_rising: true, delay })
+            };
+            let value = NetValue {
+                arrival,
+                min: arrival,
+                slew,
+                pred: [pred(arrival[0]), pred(arrival[1])],
+            };
+            if self.state.set(net as usize, value) {
+                self.queue_sinks(net as usize);
+            }
+        }
+        self.edge_len[k] = ix(cursor) - self.edge_base[k];
         Ok(())
     }
 
     /// Evaluates one combinational instance: for every output pin, folds all
     /// input arcs into worst/earliest arrivals, slews and predecessors, and
-    /// appends the traversed back-edges. Inputs must already hold their
+    /// records the traversed back-edges. Inputs must already hold their
     /// final state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaError`] for missing arcs and unconnected input pins.
-    pub(crate) fn eval_comb(
-        &self,
-        id: InstId,
-        cell: &Cell,
-        state: &mut NetState,
-        back_edges: &mut Vec<BackEdge>,
+    fn eval_comb(
+        &mut self,
+        netlist: &Netlist,
+        library: &Library,
+        k: usize,
     ) -> Result<(), StaError> {
-        let inst = self.netlist.instance(id);
-        for out in &cell.outputs {
-            let Some(out_net) = inst.net_on(&out.name) else { continue };
-            let load = self.load_of(out_net);
-            let mut best_rise: Option<(f64, f64, Pred)> = None; // (arrival, slew, pred)
-            let mut best_fall: Option<(f64, f64, Pred)> = None;
-            let mut least_rise = f64::INFINITY;
-            let mut least_fall = f64::INFINITY;
-            for input in &cell.inputs {
-                // Outputs genuinely independent of this input
-                // (e.g. HA's CO vs no pin) are skipped only if the
-                // function ignores the pin; otherwise it is an error.
-                let Some(arc) = out.arc_from(&input.name) else {
-                    if out.function.vars().contains(&input.name) {
-                        return Err(StaError::MissingArc {
-                            cell: cell.name.clone(),
-                            input: input.name.clone(),
-                            output: out.name.clone(),
-                        });
-                    }
+        let cell = library.cell_at(self.cells[k]);
+        let (n_in, n_out) = (cell.inputs.len(), cell.outputs.len());
+        let base = self.pin_base[k] as usize;
+        let mut cursor = self.edge_base[k] as usize;
+        for (o, out) in cell.outputs.iter().enumerate() {
+            let out_net = self.pins[base + n_in + o];
+            if out_net == NONE {
+                continue;
+            }
+            let load = self.loads[out_net as usize];
+            // Per output edge (rise, fall): (arrival, slew, pred) of the
+            // worst input edge, and the earliest arrival.
+            let mut best: [Option<(f64, f64, Pred)>; 2] = [None, None];
+            let mut least = [f64::INFINITY; 2];
+            for (p, input) in cell.inputs.iter().enumerate() {
+                let slot = self.pins[base + n_in + n_out + o * n_in + p];
+                if slot == SKIP {
                     continue;
-                };
-                let Some(in_net) = inst.net_on(&input.name) else {
+                }
+                if slot == NONE {
+                    return Err(StaError::MissingArc {
+                        cell: cell.name.clone(),
+                        input: input.name.clone(),
+                        output: out.name.clone(),
+                    });
+                }
+                let arc = &out.arcs[slot as usize];
+                let in_net = self.pins[base + p];
+                if in_net == NONE {
                     return Err(StaError::Netlist(NetlistError::UnconnectedPin {
-                        instance: inst.name.clone(),
+                        instance: netlist.instance(InstId::from_index(k)).name.clone(),
                         pin: input.name.clone(),
                     }));
-                };
-                let i = in_net.index();
-                // Which input edges can cause each output edge.
-                let rise_from: &[bool] = match arc.sense {
-                    TimingSense::PositiveUnate => &[true],
-                    TimingSense::NegativeUnate => &[false],
-                    TimingSense::NonUnate => &[true, false],
-                };
-                for &in_rising in rise_from {
-                    let (a_in, s_in) = if in_rising {
-                        (state.arrival_rise[i], state.slew_rise[i])
-                    } else {
-                        (state.arrival_fall[i], state.slew_fall[i])
-                    };
-                    let d = arc.delay(true, s_in, load);
-                    back_edges.push((out_net.index(), true, i, in_rising, d));
-                    let m_in = if in_rising { state.min_rise[i] } else { state.min_fall[i] };
-                    least_rise = least_rise.min(m_in + d);
-                    let cand = a_in + d;
-                    if best_rise.as_ref().is_none_or(|(b, _, _)| cand > *b) {
-                        best_rise = Some((
-                            cand,
-                            arc.transition(true, s_in, load),
-                            Pred {
-                                inst: id,
-                                input: input.name.clone(),
-                                input_rising: in_rising,
-                                output: out.name.clone(),
-                                delay: d,
-                            },
-                        ));
-                    }
                 }
-                let fall_from: &[bool] = match arc.sense {
-                    TimingSense::PositiveUnate => &[false],
-                    TimingSense::NegativeUnate => &[true],
-                    TimingSense::NonUnate => &[true, false],
-                };
-                for &in_rising in fall_from {
-                    let (a_in, s_in) = if in_rising {
-                        (state.arrival_rise[i], state.slew_rise[i])
-                    } else {
-                        (state.arrival_fall[i], state.slew_fall[i])
+                let i = in_net as usize;
+                for (e, out_rising) in [(0, true), (1, false)] {
+                    // Which input edges can cause this output edge.
+                    let from: &[bool] = match (arc.sense, out_rising) {
+                        (TimingSense::PositiveUnate, true)
+                        | (TimingSense::NegativeUnate, false) => &[true],
+                        (TimingSense::PositiveUnate, false)
+                        | (TimingSense::NegativeUnate, true) => &[false],
+                        (TimingSense::NonUnate, _) => &[true, false],
                     };
-                    let d = arc.delay(false, s_in, load);
-                    back_edges.push((out_net.index(), false, i, in_rising, d));
-                    let m_in = if in_rising { state.min_rise[i] } else { state.min_fall[i] };
-                    least_fall = least_fall.min(m_in + d);
-                    let cand = a_in + d;
-                    if best_fall.as_ref().is_none_or(|(b, _, _)| cand > *b) {
-                        best_fall = Some((
-                            cand,
-                            arc.transition(false, s_in, load),
-                            Pred {
-                                inst: id,
-                                input: input.name.clone(),
+                    for &in_rising in from {
+                        let (a_in, s_in, m_in) = if in_rising {
+                            (
+                                self.state.arrival_rise[i],
+                                self.state.slew_rise[i],
+                                self.state.min_rise[i],
+                            )
+                        } else {
+                            (
+                                self.state.arrival_fall[i],
+                                self.state.slew_fall[i],
+                                self.state.min_fall[i],
+                            )
+                        };
+                        let d = arc.delay(out_rising, s_in, load);
+                        self.edges[cursor] =
+                            BackEdge { out_net, in_net, out_rising, in_rising, delay: d };
+                        cursor += 1;
+                        least[e] = least[e].min(m_in + d);
+                        let cand = a_in + d;
+                        if best[e].as_ref().is_none_or(|(b, _, _)| cand > *b) {
+                            let pred = Pred {
+                                inst: ix(k),
+                                input: ix(p),
+                                output: ix(o),
                                 input_rising: in_rising,
-                                output: out.name.clone(),
                                 delay: d,
-                            },
-                        ));
+                            };
+                            best[e] = Some((cand, arc.transition(out_rising, s_in, load), pred));
+                        }
                     }
                 }
             }
-            let o = out_net.index();
-            if least_rise.is_finite() {
-                state.min_rise[o] = least_rise;
+            let mut value = NetValue {
+                arrival: [0.0; 2],
+                min: [0.0; 2],
+                slew: [self.input_slew; 2],
+                pred: [None; 2],
+            };
+            for e in 0..2 {
+                if least[e].is_finite() {
+                    value.min[e] = least[e];
+                }
+                if let Some((a, s, p)) = best[e] {
+                    value.arrival[e] = a;
+                    value.slew[e] = s;
+                    value.pred[e] = Some(p);
+                }
             }
-            if least_fall.is_finite() {
-                state.min_fall[o] = least_fall;
-            }
-            if let Some((a, s, p)) = best_rise {
-                state.arrival_rise[o] = a;
-                state.slew_rise[o] = s;
-                state.pred_rise[o] = Some(p);
-            }
-            if let Some((a, s, p)) = best_fall {
-                state.arrival_fall[o] = a;
-                state.slew_fall[o] = s;
-                state.pred_fall[o] = Some(p);
+            if self.state.set(out_net as usize, value) {
+                self.queue_sinks(out_net as usize);
             }
         }
+        self.edge_len[k] = ix(cursor) - self.edge_base[k];
         Ok(())
+    }
+
+    /// The resolved cell of instance `k`.
+    pub(crate) fn cell_of(&self, k: usize) -> CellId {
+        self.cells[k]
+    }
+
+    /// Points instance `k` at `cell`, which must keep the instance's class
+    /// and the role of every connected pin, and must have every input
+    /// connected. Re-sums the loads of the nets the instance reads and
+    /// queues it plus the driver of every net whose load changed bits.
+    /// Everything else keeps its inputs, cell and load, so its evaluation
+    /// would not change a bit.
+    pub(crate) fn recell(&mut self, netlist: &Netlist, library: &Library, k: usize, cell: CellId) {
+        self.cells[k] = cell;
+        let new = library.cell_at(cell);
+        let inst = netlist.instance(InstId::from_index(k));
+        let lo = self.conn_base[k] as usize;
+        for (c, (pin, _)) in inst.connections.iter().enumerate() {
+            self.conn_input[lo + c] = input_index(new, pin);
+        }
+        self.place(netlist, library, k);
+        for c in lo..self.conn_base[k + 1] as usize {
+            if self.conn_input[c] == NONE {
+                continue;
+            }
+            let net = self.conn_net[c] as usize;
+            let load = self.net_load(library, net);
+            if load.to_bits() != self.loads[net].to_bits() {
+                self.loads[net] = load;
+                if self.driver[net] != NONE {
+                    self.queue(self.driver[net] as usize);
+                }
+            }
+        }
+        self.queue(k);
+    }
+
+    /// The worst endpoint arrival — the critical delay — straight from the
+    /// forward state, without building a report.
+    pub(crate) fn critical_delay(&self, library: &Library) -> f64 {
+        self.endpoint_arrivals(library)
+            .map(|(_, _, arrival)| arrival)
+            .reduce(|worst, a| if a.total_cmp(&worst).is_gt() { a } else { worst })
+            .unwrap_or(0.0)
+    }
+
+    /// Every endpoint with its worst arrival: primary outputs in port
+    /// order, then flop data pins (setup added) in instance order.
+    fn endpoint_arrivals<'a>(
+        &'a self,
+        library: &'a Library,
+    ) -> impl Iterator<Item = (NetId, EndpointKind, f64)> + 'a {
+        let s = &self.state;
+        let worst = move |i: usize| s.arrival_rise[i].max(s.arrival_fall[i]);
+        let outputs = self.output_ports.iter().map(move |&n| {
+            (NetId::from_index(n as usize), EndpointKind::Output, worst(n as usize))
+        });
+        let flops =
+            self.flops.iter().filter(|&&(_, data)| data != NONE).filter_map(move |&(k, data)| {
+                match &library.cell_at(self.cells[k as usize]).class {
+                    CellClass::Flop { setup, .. } => Some((
+                        NetId::from_index(data as usize),
+                        EndpointKind::FlopData { setup: *setup },
+                        worst(data as usize) + setup,
+                    )),
+                    CellClass::Combinational => None,
+                }
+            });
+        outputs.chain(flops)
+    }
+
+    /// The report for the current state, cloning the per-net vectors.
+    pub(crate) fn report(
+        &self,
+        netlist: &Netlist,
+        library: &Library,
+        constraints: &Constraints,
+    ) -> TimingReport {
+        let s = &self.state;
+        self.extract(netlist, library, constraints).into_report([
+            s.arrival_rise.clone(),
+            s.arrival_fall.clone(),
+            s.min_rise.clone(),
+            s.min_fall.clone(),
+            s.slew_rise.clone(),
+            s.slew_fall.clone(),
+            self.loads.clone(),
+        ])
+    }
+
+    /// The report for the current state, moving the per-net vectors.
+    pub(crate) fn into_report(
+        self,
+        netlist: &Netlist,
+        library: &Library,
+        constraints: &Constraints,
+    ) -> TimingReport {
+        let extracted = self.extract(netlist, library, constraints);
+        let s = self.state;
+        extracted.into_report([
+            s.arrival_rise,
+            s.arrival_fall,
+            s.min_rise,
+            s.min_fall,
+            s.slew_rise,
+            s.slew_fall,
+            self.loads,
+        ])
+    }
+
+    /// Endpoints, hold slacks, the backward required-time pass and the
+    /// critical path of the current state.
+    fn extract(
+        &self,
+        netlist: &Netlist,
+        library: &Library,
+        constraints: &Constraints,
+    ) -> Extracted {
+        let s = &self.state;
+        let mut endpoints: Vec<Endpoint> = self
+            .endpoint_arrivals(library)
+            .map(|(net, kind, arrival)| Endpoint {
+                net,
+                kind,
+                arrival,
+                required: constraints.clock_period,
+            })
+            .collect();
+        endpoints.sort_by(|a, b| b.arrival.total_cmp(&a.arrival));
+
+        // Hold checks at flop data pins: the earliest data change after the
+        // launching edge must not beat the hold window of the capturing flop.
+        let hold_slacks = self
+            .flops
+            .iter()
+            .filter(|&&(_, data)| data != NONE)
+            .filter_map(|&(k, data)| match &library.cell_at(self.cells[k as usize]).class {
+                CellClass::Flop { hold, .. } => {
+                    let i = data as usize;
+                    Some((NetId::from_index(i), s.min_rise[i].min(s.min_fall[i]) - hold))
+                }
+                CellClass::Combinational => None,
+            })
+            .collect();
+
+        // Backward required-time pass over the recorded edges in reverse
+        // evaluation order. Without an explicit clock the worst endpoint
+        // arrival acts as the implicit required time (zero worst slack).
+        let n_nets = self.loads.len();
+        let implicit = endpoints.first().map_or(0.0, |e| e.arrival);
+        let mut required_rise = vec![f64::INFINITY; n_nets];
+        let mut required_fall = vec![f64::INFINITY; n_nets];
+        for e in &endpoints {
+            let budget = constraints.clock_period.unwrap_or(implicit);
+            let at_net = match e.kind {
+                EndpointKind::Output => budget,
+                EndpointKind::FlopData { setup } => budget - setup,
+            };
+            let i = e.net.index();
+            required_rise[i] = required_rise[i].min(at_net);
+            required_fall[i] = required_fall[i].min(at_net);
+        }
+        for &k in self.stages.iter().rev().flat_map(|stage| stage.iter().rev()) {
+            let lo = self.edge_base[k as usize] as usize;
+            let hi = lo + self.edge_len[k as usize] as usize;
+            for e in self.edges[lo..hi].iter().rev() {
+                let out = e.out_net as usize;
+                let r_out = if e.out_rising { required_rise[out] } else { required_fall[out] };
+                if r_out.is_finite() {
+                    let input = e.in_net as usize;
+                    let slot = if e.in_rising {
+                        &mut required_rise[input]
+                    } else {
+                        &mut required_fall[input]
+                    };
+                    *slot = slot.min(r_out - e.delay);
+                }
+            }
+        }
+
+        let critical = match endpoints.first() {
+            Some(worst) => {
+                let i = worst.net.index();
+                let rising = s.arrival_rise[i] >= s.arrival_fall[i];
+                self.backtrack(netlist, library, worst.net, rising, worst.arrival)
+            }
+            None => PathSpec {
+                start_net: NetId::from_index(0),
+                start_rising: true,
+                steps: Vec::new(),
+                arrival: 0.0,
+            },
+        };
+        Extracted { endpoints, hold_slacks, required_rise, required_fall, critical }
+    }
+
+    /// Follows the worst-edge predecessors back from an endpoint, naming
+    /// each step's pins.
+    fn backtrack(
+        &self,
+        netlist: &Netlist,
+        library: &Library,
+        endpoint: NetId,
+        endpoint_rising: bool,
+        arrival: f64,
+    ) -> PathSpec {
+        let mut steps = Vec::new();
+        let mut net = endpoint;
+        let mut rising = endpoint_rising;
+        loop {
+            let pred = if rising {
+                self.state.pred_rise[net.index()]
+            } else {
+                self.state.pred_fall[net.index()]
+            };
+            let Some(p) = pred else { break };
+            let cell = library.cell_at(self.cells[p.inst as usize]);
+            let input = match (&cell.class, p.input) {
+                (CellClass::Flop { clock, .. }, CLOCK) => clock.as_str(),
+                (_, i) => cell.inputs.get(i as usize).map_or("", |pin| pin.name.as_str()),
+            };
+            let output = cell.outputs.get(p.output as usize).map_or("", |pin| pin.name.as_str());
+            let inst = InstId::from_index(p.inst as usize);
+            steps.push(PathStep {
+                inst,
+                input: input.to_owned(),
+                input_rising: p.input_rising,
+                output: output.to_owned(),
+                output_rising: rising,
+                delay: p.delay,
+            });
+            let Some(prev_net) = netlist.instance(inst).net_on(input) else { break };
+            rising = p.input_rising;
+            net = prev_net;
+            if steps.len() > netlist.instance_count() + 1 {
+                break; // defensive: never loop forever on corrupt pred data
+            }
+        }
+        steps.reverse();
+        PathSpec { start_net: net, start_rising: rising, steps, arrival }
+    }
+}
+
+/// The per-report parts [`TimingGraph::extract`] computes.
+struct Extracted {
+    endpoints: Vec<Endpoint>,
+    hold_slacks: Vec<(NetId, f64)>,
+    required_rise: Vec<f64>,
+    required_fall: Vec<f64>,
+    critical: PathSpec,
+}
+
+impl Extracted {
+    /// Completes the report with the per-net arrivals, earliest arrivals,
+    /// slews (rise then fall each) and loads.
+    fn into_report(self, per_net: [Vec<f64>; 7]) -> TimingReport {
+        let [arrival_rise, arrival_fall, min_rise, min_fall, slew_rise, slew_fall, loads] = per_net;
+        TimingReport {
+            arrival_rise,
+            arrival_fall,
+            min_rise,
+            min_fall,
+            slew_rise,
+            slew_fall,
+            required_rise: self.required_rise,
+            required_fall: self.required_fall,
+            loads,
+            endpoints: self.endpoints,
+            hold_slacks: self.hold_slacks,
+            critical_delay: self.critical.arrival,
+            critical: self.critical,
+        }
     }
 }
 
@@ -300,277 +965,13 @@ pub fn analyze(
     library: &Library,
     constraints: &Constraints,
 ) -> Result<TimingReport, StaError> {
-    netlist.validate(library)?;
-    let cells = resolved_cells(netlist, library)?;
-    let sinks = netlist.sinks(library)?;
-    let drivers = netlist.drivers(library)?;
-    let n_nets = netlist.net_count();
-
-    let input_slew = constraints.input_slew.unwrap_or(library.default_input_slew);
-    let output_load = constraints.output_load.unwrap_or(library.default_output_load);
-    let output_nets: HashSet<NetId> = netlist.output_nets().collect();
-    let ctx = EvalCtx {
-        netlist,
-        library,
-        sinks: &sinks,
-        output_nets: &output_nets,
-        input_slew,
-        output_load,
-    };
-
-    let mut state = NetState::fresh(n_nets, input_slew);
-    let mut resolved = vec![false; n_nets];
-    let mut back_edges: Vec<BackEdge> = Vec::new();
-
-    // Sources: primary inputs and undriven nets (assumed external).
-    for (k, r) in resolved.iter_mut().enumerate() {
-        if !drivers.contains_key(&NetId::from_index(k)) {
-            *r = true;
-        }
-    }
-
-    // Flop outputs launch from the clock edge.
-    let mut comb_instances: Vec<InstId> = Vec::new();
-    for id in netlist.instance_ids() {
-        let inst = netlist.instance(id);
-        let cell = cells[id.index()];
-        match &cell.class {
-            CellClass::Flop { .. } => {
-                ctx.eval_flop(id, cell, &mut state, &mut back_edges)?;
-                for out in &cell.outputs {
-                    if let Some(net) = inst.net_on(&out.name) {
-                        resolved[net.index()] = true;
-                    }
-                }
-            }
-            CellClass::Combinational => comb_instances.push(id),
-        }
-    }
-
-    // Kahn-style topological sweep over combinational instances.
-    let mut remaining: Vec<InstId> = comb_instances;
-    loop {
-        let mut progressed = false;
-        let mut next_round = Vec::with_capacity(remaining.len());
-        for id in remaining.drain(..) {
-            let inst = netlist.instance(id);
-            let cell = cells[id.index()];
-            let inputs_ready = cell
-                .inputs
-                .iter()
-                .all(|p| inst.net_on(&p.name).is_some_and(|net| resolved[net.index()]));
-            if !inputs_ready {
-                next_round.push(id);
-                continue;
-            }
-            progressed = true;
-            ctx.eval_comb(id, cell, &mut state, &mut back_edges)?;
-            for out in &cell.outputs {
-                if let Some(net) = inst.net_on(&out.name) {
-                    resolved[net.index()] = true;
-                }
-            }
-        }
-        if next_round.is_empty() {
-            break;
-        }
-        if !progressed {
-            // Name an instance actually *on* a cycle, not merely starved
-            // downstream of one — the standalone detector tells them apart.
-            let on_cycle = crate::loops::combinational_loops(netlist, library)
-                .into_iter()
-                .flatten()
-                .next()
-                .unwrap_or(next_round[0]);
-            let name = netlist.instance(on_cycle).name.clone();
-            return Err(StaError::CombinationalLoop { instance: name });
-        }
-        remaining = next_round;
-    }
-
-    Ok(extract_report(netlist, &cells, constraints, &state, &back_edges))
+    let graph = TimingGraph::build(netlist, library, constraints)?.0;
+    Ok(graph.into_report(netlist, library, constraints))
 }
 
-/// Builds the final [`TimingReport`] from a converged forward state:
-/// endpoints, hold slacks, the backward required-time pass over
-/// `back_edges`, and the extracted critical path.
-///
-/// `back_edges` may be any concatenation of per-instance edge lists in a
-/// valid forward topological order — the required-time pass is a min-fold,
-/// so every such order yields bit-identical values.
-pub(crate) fn extract_report(
-    netlist: &Netlist,
-    cells: &[&Cell],
-    constraints: &Constraints,
-    state: &NetState,
-    back_edges: &[BackEdge],
-) -> TimingReport {
-    let n_nets = netlist.net_count();
-
-    // Endpoints: primary outputs and flop data pins.
-    let mut endpoints = Vec::new();
-    for net in netlist.output_nets() {
-        let i = net.index();
-        let arrival = state.arrival_rise[i].max(state.arrival_fall[i]);
-        endpoints.push(Endpoint {
-            net,
-            kind: EndpointKind::Output,
-            arrival,
-            required: constraints.clock_period,
-        });
-    }
-    for id in netlist.instance_ids() {
-        let inst = netlist.instance(id);
-        let cell = cells[id.index()];
-        if let CellClass::Flop { data, setup, .. } = &cell.class {
-            if let Some(net) = inst.net_on(data) {
-                let i = net.index();
-                let arrival = state.arrival_rise[i].max(state.arrival_fall[i]) + setup;
-                endpoints.push(Endpoint {
-                    net,
-                    kind: EndpointKind::FlopData { setup: *setup },
-                    arrival,
-                    required: constraints.clock_period,
-                });
-            }
-        }
-    }
-    endpoints.sort_by(|a, b| b.arrival.total_cmp(&a.arrival));
-
-    // Hold checks at flop data pins: the earliest data change after the
-    // launching edge must not beat the hold window of the capturing flop.
-    let mut hold_slacks: Vec<(NetId, f64)> = Vec::new();
-    for id in netlist.instance_ids() {
-        let inst = netlist.instance(id);
-        let cell = cells[id.index()];
-        if let CellClass::Flop { data, hold, .. } = &cell.class {
-            if let Some(net) = inst.net_on(data) {
-                let i = net.index();
-                let earliest = state.min_rise[i].min(state.min_fall[i]);
-                hold_slacks.push((net, earliest - hold));
-            }
-        }
-    }
-
-    // Backward required-time pass. Without an explicit clock the worst
-    // endpoint arrival acts as the implicit required time (zero worst slack).
-    let implicit = endpoints.first().map_or(0.0, |e| e.arrival);
-    let mut required_rise = vec![f64::INFINITY; n_nets];
-    let mut required_fall = vec![f64::INFINITY; n_nets];
-    for e in &endpoints {
-        let budget = constraints.clock_period.unwrap_or(implicit);
-        let at_net = match e.kind {
-            EndpointKind::Output => budget,
-            EndpointKind::FlopData { setup } => budget - setup,
-        };
-        let i = e.net.index();
-        required_rise[i] = required_rise[i].min(at_net);
-        required_fall[i] = required_fall[i].min(at_net);
-    }
-    for &(out, out_rising, input, in_rising, d) in back_edges.iter().rev() {
-        let r_out = if out_rising { required_rise[out] } else { required_fall[out] };
-        if r_out.is_finite() {
-            let slot =
-                if in_rising { &mut required_rise[input] } else { &mut required_fall[input] };
-            *slot = slot.min(r_out - d);
-        }
-    }
-
-    // Extract the critical path.
-    let (critical, critical_delay) = match endpoints.first() {
-        Some(worst) => {
-            let i = worst.net.index();
-            let rising = state.arrival_rise[i] >= state.arrival_fall[i];
-            let spec = backtrack(
-                netlist,
-                worst.net,
-                rising,
-                worst.arrival,
-                &state.pred_rise,
-                &state.pred_fall,
-            );
-            (spec, worst.arrival)
-        }
-        None => (
-            PathSpec {
-                start_net: NetId::from_index(0),
-                start_rising: true,
-                steps: Vec::new(),
-                arrival: 0.0,
-            },
-            0.0,
-        ),
-    };
-
-    TimingReport {
-        arrival_rise: state.arrival_rise.clone(),
-        arrival_fall: state.arrival_fall.clone(),
-        min_rise: state.min_rise.clone(),
-        min_fall: state.min_fall.clone(),
-        slew_rise: state.slew_rise.clone(),
-        slew_fall: state.slew_fall.clone(),
-        required_rise,
-        required_fall,
-        endpoints,
-        hold_slacks,
-        critical,
-        critical_delay,
-    }
-}
-
-/// Resolves every instance's cell up front (indexed by [`InstId`]), turning
-/// the "unknown cell" case into a structured error at the door instead of a
-/// panic deep inside the propagation loops.
-pub(crate) fn resolved_cells<'l>(
-    netlist: &Netlist,
-    library: &'l Library,
-) -> Result<Vec<&'l Cell>, StaError> {
-    netlist
-        .instance_ids()
-        .map(|id| {
-            let inst = netlist.instance(id);
-            library.cell(&inst.cell).ok_or_else(|| {
-                StaError::Netlist(NetlistError::UnknownCell {
-                    instance: inst.name.clone(),
-                    cell: inst.cell.clone(),
-                })
-            })
-        })
-        .collect()
-}
-
-fn backtrack(
-    netlist: &Netlist,
-    endpoint: NetId,
-    endpoint_rising: bool,
-    arrival: f64,
-    pred_rise: &[Option<Pred>],
-    pred_fall: &[Option<Pred>],
-) -> PathSpec {
-    let mut steps = Vec::new();
-    let mut net = endpoint;
-    let mut rising = endpoint_rising;
-    loop {
-        let pred = if rising { &pred_rise[net.index()] } else { &pred_fall[net.index()] };
-        let Some(p) = pred else { break };
-        steps.push(PathStep {
-            inst: p.inst,
-            input: p.input.clone(),
-            input_rising: p.input_rising,
-            output: p.output.clone(),
-            output_rising: rising,
-            delay: p.delay,
-        });
-        let inst = netlist.instance(p.inst);
-        let Some(prev_net) = inst.net_on(&p.input) else { break };
-        rising = p.input_rising;
-        net = prev_net;
-        if steps.len() > netlist.instance_count() + 1 {
-            break; // defensive: never loop forever on corrupt pred data
-        }
-    }
-    steps.reverse();
-    PathSpec { start_net: net, start_rising: rising, steps, arrival }
+/// The index of the first input of `cell` named `pin`, or [`NONE`].
+fn input_index(cell: &Cell, pin: &str) -> u32 {
+    cell.inputs.iter().position(|p| p.name == pin).map_or(NONE, ix)
 }
 
 #[cfg(test)]

@@ -1,33 +1,34 @@
 //! Incremental static timing analysis.
 //!
-//! [`IncrementalSta`] keeps a persistent levelized timing graph and accepts
+//! [`IncrementalSta`] keeps a persistent compiled timing graph and accepts
 //! [`StaChange`] sets — per-instance re-annotation or resize ([`StaChange::Recell`]),
 //! library swaps, constraint edits. It re-evaluates only the instances whose
 //! timing can actually move (the seeded dirty set plus the value-changed
 //! fanout cone) and is **bit-identical** to a fresh [`crate::analyze`] after
 //! every change:
 //!
-//! - Per-instance evaluation is the *same code* ([`EvalCtx::eval_comb`] /
-//!   [`EvalCtx::eval_flop`]) running against input nets that hold the same
-//!   values a full analysis would produce, so re-evaluated nets get
+//! - Both run the *same* propagation loop over the same compiled graph
+//!   ([`TimingGraph::propagate`]), so a re-evaluated instance reads input
+//!   nets that hold the values a full analysis would produce and gets
 //!   bit-identical results.
-//! - Instances whose input values are bitwise unchanged are skipped: their
-//!   evaluation is a pure function of input values, cell and load, so
-//!   skipping reproduces the full-analysis result exactly.
-//! - The backward required-time pass is an order-independent min-fold, so
-//!   replaying stored per-instance edge lists in any valid topological order
-//!   yields bit-identical required times.
+//! - A recell re-resolves only its own instance and re-sums only the loads
+//!   of the nets it reads, in the full analysis' order. It seeds itself and
+//!   the driver of every net whose load changed; every other instance keeps
+//!   its inputs, cell and load, so skipping it reproduces the full result
+//!   exactly. Instances whose input values are bitwise unchanged are
+//!   skipped the same way.
+//! - The backward required-time pass replays the stored per-instance edge
+//!   lists in the same order a full analysis does.
 //!
 //! [`StaStats`] counts instances re-evaluated vs total so callers (the
 //! sizing loop, perfbench, `RunContext` stages) can report cache
 //! effectiveness.
 
-use crate::graph::{extract_report, resolved_cells, BackEdge, EvalCtx, NetState};
+use crate::graph::TimingGraph;
 use crate::report::TimingReport;
 use crate::{Constraints, StaError};
-use liberty::{CellClass, Library};
-use netlist::{InstId, NetId, Netlist, NetlistError};
-use std::collections::{HashMap, HashSet};
+use liberty::{Cell, CellClass, Library};
+use netlist::{InstId, Instance, Netlist, NetlistError};
 
 /// One edit to a live timing graph.
 #[derive(Debug, Clone)]
@@ -91,20 +92,7 @@ pub struct IncrementalSta {
     netlist: Netlist,
     library: Library,
     constraints: Constraints,
-    input_slew: f64,
-    output_load: f64,
-    state: NetState,
-    /// Back edges recorded per instance at its last evaluation.
-    inst_edges: Vec<Vec<BackEdge>>,
-    sinks: HashMap<NetId, Vec<(InstId, String)>>,
-    drivers: HashMap<NetId, (InstId, String)>,
-    output_nets: HashSet<NetId>,
-    /// Combinational instances bucketed by logic level, ascending id within
-    /// a level; flops are listed separately (they launch from the clock and
-    /// never depend on upstream combinational timing).
-    comb_levels: Vec<Vec<InstId>>,
-    level_of: Vec<Option<usize>>,
-    flops: Vec<InstId>,
+    graph: TimingGraph,
     stats: StaStats,
     cache: Option<TimingReport>,
     poison: Option<StaError>,
@@ -122,27 +110,21 @@ impl IncrementalSta {
         library: &Library,
         constraints: &Constraints,
     ) -> Result<Self, StaError> {
-        let mut engine = IncrementalSta {
+        let (graph, evaluated) = TimingGraph::build(netlist, library, constraints)?;
+        Ok(IncrementalSta {
             netlist: netlist.clone(),
             library: library.clone(),
             constraints: constraints.clone(),
-            input_slew: 0.0,
-            output_load: 0.0,
-            state: NetState::fresh(0, 0.0),
-            inst_edges: Vec::new(),
-            sinks: HashMap::new(),
-            drivers: HashMap::new(),
-            output_nets: HashSet::new(),
-            comb_levels: Vec::new(),
-            level_of: Vec::new(),
-            flops: Vec::new(),
-            stats: StaStats::default(),
+            graph,
+            stats: StaStats {
+                instances_total: evaluated,
+                last_recomputed: evaluated,
+                recomputed_total: evaluated as u64,
+                ..StaStats::default()
+            },
             cache: None,
             poison: None,
-        };
-        engine.full_refresh()?;
-        engine.stats.full_refreshes = 0; // the initial build is not a refresh
-        Ok(engine)
+        })
     }
 
     /// The engine's current netlist (kept in sync with applied changes).
@@ -173,9 +155,10 @@ impl IncrementalSta {
     ///
     /// # Errors
     ///
-    /// Returns [`StaError`] when a change references an unknown cell or
-    /// produces a netlist a full analysis would reject; the engine recovers
-    /// to its pre-change state when it can and poisons itself otherwise.
+    /// Returns [`StaError`] when a change references an unknown instance or
+    /// cell or produces a netlist a full analysis would reject; the engine
+    /// recovers to its pre-change state when it can and poisons itself
+    /// otherwise.
     pub fn apply(&mut self, changes: &[StaChange]) -> Result<(), StaError> {
         if let Some(err) = &self.poison {
             return Err(err.clone());
@@ -209,53 +192,49 @@ impl IncrementalSta {
         if let Some(err) = &self.poison {
             return Err(err.clone());
         }
-        let report = match self.cache.take() {
-            Some(report) => report,
-            None => {
-                let cells = resolved_cells(&self.netlist, &self.library)?;
-                let mut back_edges = Vec::with_capacity(self.inst_edges.iter().map(Vec::len).sum());
-                for &id in &self.flops {
-                    back_edges.extend_from_slice(&self.inst_edges[id.index()]);
-                }
-                for level in &self.comb_levels {
-                    for &id in level {
-                        back_edges.extend_from_slice(&self.inst_edges[id.index()]);
-                    }
-                }
-                extract_report(&self.netlist, &cells, &self.constraints, &self.state, &back_edges)
-            }
-        };
-        Ok(self.cache.insert(report))
+        Ok(self.cache.get_or_insert_with(|| {
+            self.graph.report(&self.netlist, &self.library, &self.constraints)
+        }))
     }
 
-    /// Worst endpoint arrival (the critical delay).
+    /// Worst endpoint arrival (the critical delay), bit-identical to
+    /// [`Self::report`]'s. Without a cached report it is read straight off
+    /// the forward state: no required times, no critical path.
     ///
     /// # Errors
     ///
     /// See [`Self::report`].
     pub fn critical_delay(&mut self) -> Result<f64, StaError> {
-        Ok(self.report()?.critical_delay())
+        if let Some(err) = &self.poison {
+            return Err(err.clone());
+        }
+        Ok(match &self.cache {
+            Some(report) => report.critical_delay(),
+            None => self.graph.critical_delay(&self.library),
+        })
     }
 
     fn apply_one(&mut self, change: &StaChange) -> Result<(), StaError> {
         match change {
             StaChange::SwapLibrary(library) => {
-                self.library = library.clone();
-                self.full_refresh()
+                let old = std::mem::replace(&mut self.library, library.clone());
+                self.full_refresh().inspect_err(|_| self.library = old)
             }
             StaChange::SetConstraints(constraints) => {
-                let slew = constraints.input_slew.unwrap_or(self.library.default_input_slew);
-                let load = constraints.output_load.unwrap_or(self.library.default_output_load);
-                let forward_unchanged = slew.to_bits() == self.input_slew.to_bits()
-                    && load.to_bits() == self.output_load.to_bits();
-                self.constraints = constraints.clone();
-                if forward_unchanged {
+                let old = std::mem::replace(&mut self.constraints, constraints.clone());
+                let unchanged = |c: &Constraints| {
+                    (
+                        c.input_slew.unwrap_or(self.library.default_input_slew).to_bits(),
+                        c.output_load.unwrap_or(self.library.default_output_load).to_bits(),
+                    )
+                };
+                if unchanged(&old) == unchanged(constraints) {
                     // Clock-period-only edit: the forward state is untouched;
                     // only the report (required times, slacks) changes.
                     self.cache = None;
                     Ok(())
                 } else {
-                    self.full_refresh()
+                    self.full_refresh().inspect_err(|_| self.constraints = old)
                 }
             }
             StaChange::Recell { inst, cell } => self.apply_recell(*inst, cell),
@@ -263,42 +242,33 @@ impl IncrementalSta {
     }
 
     fn apply_recell(&mut self, inst: InstId, cell: &str) -> Result<(), StaError> {
-        let instance = self.netlist.instance(inst);
-        let old_name = instance.cell.clone();
-        if old_name == *cell {
+        let Some(instance) = self.netlist.instances().get(inst.index()) else {
+            return Err(StaError::UnknownInstance {
+                index: inst.index(),
+                instances: self.netlist.instance_count(),
+            });
+        };
+        if instance.cell == cell {
             return Ok(());
         }
-        let Some(new_cell) = self.library.cell(cell) else {
+        let Some(id) = self.library.cell_id(cell) else {
             return Err(StaError::Netlist(NetlistError::UnknownCell {
                 instance: instance.name.clone(),
                 cell: cell.to_owned(),
             }));
         };
-        let old_cell = self.library.cell(&old_name);
-        let compatible = old_cell.is_some_and(|old| {
-            let kind_ok = match (&old.class, &new_cell.class) {
-                (CellClass::Combinational, CellClass::Combinational) => true,
-                (
-                    CellClass::Flop { clock: c0, data: d0, .. },
-                    CellClass::Flop { clock: c1, data: d1, .. },
-                ) => c0 == c1 && d0 == d1,
-                _ => false,
-            };
-            kind_ok
-                && instance.connections.iter().all(|(pin, _)| {
-                    let roles = |c: &liberty::Cell| {
-                        (
-                            c.inputs.iter().any(|p| &p.name == pin),
-                            c.outputs.iter().any(|p| &p.name == pin),
-                        )
-                    };
-                    roles(old) == roles(new_cell)
-                })
-        });
-
-        self.netlist.instance_mut(inst).cell = cell.to_owned();
-        let result = if compatible {
-            self.repropagate_from(inst)
+        let k = inst.index();
+        let old = self.library.cell_at(self.graph.cell_of(k));
+        let fits = fits(instance, old, self.library.cell_at(id));
+        let old_name =
+            std::mem::replace(&mut self.netlist.instance_mut(inst).cell, cell.to_owned());
+        let result = if fits {
+            self.graph.recell(&self.netlist, &self.library, k, id);
+            self.graph.propagate(&self.netlist, &self.library).map(|evaluated| {
+                self.stats.last_recomputed += evaluated;
+                self.stats.recomputed_total += evaluated as u64;
+                self.cache = None;
+            })
         } else {
             // Pin roles or sequential class changed: sinks/drivers/levels are
             // stale, rebuild everything.
@@ -316,246 +286,39 @@ impl IncrementalSta {
         Ok(())
     }
 
-    /// Re-evaluates the dirty cone of `inst` after a pin-role-compatible
-    /// recell. Seeds are the instance itself plus the drivers of every
-    /// connected net (their load may have changed with the new input caps);
-    /// dirt then propagates to combinational sinks of any net whose value
-    /// bits changed.
-    fn repropagate_from(&mut self, inst: InstId) -> Result<(), StaError> {
-        let n_inst = self.netlist.instance_count();
-        let mut dirty = vec![false; n_inst];
-        dirty[inst.index()] = true;
-        for (_, net) in &self.netlist.instance(inst).connections {
-            if let Some((driver, _)) = self.drivers.get(net) {
-                dirty[driver.index()] = true;
-            }
-        }
-
-        let cells = resolved_cells(&self.netlist, &self.library)?;
-        let ctx = EvalCtx {
-            netlist: &self.netlist,
-            library: &self.library,
-            sinks: &self.sinks,
-            output_nets: &self.output_nets,
-            input_slew: self.input_slew,
-            output_load: self.output_load,
-        };
-
-        let mut recomputed = 0usize;
-        // Flops first: their launch values depend only on their own cell and
-        // Q-net load, never on upstream timing, so they cannot become dirty
-        // transitively — only seeding reaches them.
-        for &id in &self.flops {
-            if !dirty[id.index()] {
-                continue;
-            }
-            recomputed += 1;
-            let changed = Self::reeval(
-                &ctx,
-                id,
-                cells[id.index()],
-                &mut self.state,
-                &mut self.inst_edges[id.index()],
-                self.input_slew,
-            )?;
-            for net in changed {
-                for (sink, _) in self.sinks.get(&net).map_or(&[][..], Vec::as_slice) {
-                    if self.level_of[sink.index()].is_some() {
-                        dirty[sink.index()] = true;
-                    }
-                }
-            }
-        }
-        // Then combinational levels in ascending order: every sink of a
-        // level-L output sits at a strictly higher level, so each instance
-        // is evaluated after all of its fanin settled.
-        for level in 0..self.comb_levels.len() {
-            for k in 0..self.comb_levels[level].len() {
-                let id = self.comb_levels[level][k];
-                if !dirty[id.index()] {
-                    continue;
-                }
-                recomputed += 1;
-                let changed = Self::reeval(
-                    &ctx,
-                    id,
-                    cells[id.index()],
-                    &mut self.state,
-                    &mut self.inst_edges[id.index()],
-                    self.input_slew,
-                )?;
-                for net in changed {
-                    for (sink, _) in self.sinks.get(&net).map_or(&[][..], Vec::as_slice) {
-                        if self.level_of[sink.index()].is_some() {
-                            dirty[sink.index()] = true;
-                        }
-                    }
-                }
-            }
-        }
-
-        self.stats.last_recomputed += recomputed;
-        self.stats.recomputed_total += recomputed as u64;
-        self.cache = None;
-        Ok(())
-    }
-
-    /// Resets the instance's output nets, re-runs the shared evaluation and
-    /// returns the output nets whose value bits changed.
-    fn reeval(
-        ctx: &EvalCtx<'_>,
-        id: InstId,
-        cell: &liberty::Cell,
-        state: &mut NetState,
-        edges: &mut Vec<BackEdge>,
-        input_slew: f64,
-    ) -> Result<Vec<NetId>, StaError> {
-        let inst = ctx.netlist.instance(id);
-        let out_nets: Vec<NetId> =
-            cell.outputs.iter().filter_map(|o| inst.net_on(&o.name)).collect();
-        let before: Vec<[u64; 6]> = out_nets.iter().map(|n| state.value_bits(n.index())).collect();
-        for net in &out_nets {
-            state.reset_net(net.index(), input_slew);
-        }
-        edges.clear();
-        match &cell.class {
-            CellClass::Flop { .. } => ctx.eval_flop(id, cell, state, edges)?,
-            CellClass::Combinational => ctx.eval_comb(id, cell, state, edges)?,
-        }
-        Ok(out_nets
-            .into_iter()
-            .zip(before)
-            .filter(|(net, old)| state.value_bits(net.index()) != *old)
-            .map(|(net, _)| net)
-            .collect())
-    }
-
-    /// Rebuilds structure (sinks, drivers, levels) and re-evaluates every
-    /// instance from scratch.
+    /// Recompiles the graph and re-evaluates every instance from scratch.
+    /// On failure the previous graph stays in place.
     fn full_refresh(&mut self) -> Result<(), StaError> {
-        self.netlist.validate(&self.library)?;
-        let cells = resolved_cells(&self.netlist, &self.library)?;
-        self.sinks = self.netlist.sinks(&self.library)?;
-        self.drivers = self.netlist.drivers(&self.library)?;
-        self.output_nets = self.netlist.output_nets().collect();
-        self.input_slew = self.constraints.input_slew.unwrap_or(self.library.default_input_slew);
-        self.output_load = self.constraints.output_load.unwrap_or(self.library.default_output_load);
-
-        let n_nets = self.netlist.net_count();
-        let n_inst = self.netlist.instance_count();
-
-        // Levelize: nets with no combinational driver are level 0 (primary
-        // inputs, undriven nets, flop outputs); a combinational instance
-        // sits one level above its deepest input net.
-        let mut net_level: Vec<Option<usize>> = vec![None; n_nets];
-        self.level_of = vec![None; n_inst];
-        self.flops = Vec::new();
-        let mut comb: Vec<InstId> = Vec::new();
-        for id in self.netlist.instance_ids() {
-            match &cells[id.index()].class {
-                CellClass::Flop { .. } => self.flops.push(id),
-                CellClass::Combinational => comb.push(id),
-            }
-        }
-        for (k, slot) in net_level.iter_mut().enumerate() {
-            let comb_driven = self
-                .drivers
-                .get(&NetId::from_index(k))
-                .is_some_and(|(id, _)| matches!(cells[id.index()].class, CellClass::Combinational));
-            if !comb_driven {
-                *slot = Some(0);
-            }
-        }
-        let mut remaining = comb;
-        let mut max_level = 0usize;
-        loop {
-            let mut progressed = false;
-            let mut next_round = Vec::with_capacity(remaining.len());
-            for id in remaining.drain(..) {
-                let inst = self.netlist.instance(id);
-                let cell = cells[id.index()];
-                let depth = cell.inputs.iter().try_fold(0usize, |acc, p| {
-                    let net = inst.net_on(&p.name)?;
-                    Some(acc.max(net_level[net.index()]?))
-                });
-                let Some(depth) = depth else {
-                    next_round.push(id);
-                    continue;
-                };
-                progressed = true;
-                self.level_of[id.index()] = Some(depth);
-                max_level = max_level.max(depth);
-                for out in &cell.outputs {
-                    if let Some(net) = inst.net_on(&out.name) {
-                        net_level[net.index()] = Some(depth + 1);
-                    }
-                }
-            }
-            if next_round.is_empty() {
-                break;
-            }
-            if !progressed {
-                let on_cycle = crate::loops::combinational_loops(&self.netlist, &self.library)
-                    .into_iter()
-                    .flatten()
-                    .next()
-                    .unwrap_or(next_round[0]);
-                let name = self.netlist.instance(on_cycle).name.clone();
-                return Err(StaError::CombinationalLoop { instance: name });
-            }
-            remaining = next_round;
-        }
-        self.comb_levels = vec![Vec::new(); max_level + 1];
-        for id in self.netlist.instance_ids() {
-            if let Some(level) = self.level_of[id.index()] {
-                self.comb_levels[level].push(id);
-            }
-        }
-        // Kahn rounds do not visit in id order; normalize for determinism.
-        for level in &mut self.comb_levels {
-            level.sort_unstable();
-        }
-
-        // Full forward evaluation: flops, then levels ascending. Each
-        // instance reads only settled fanin, so the resulting state is
-        // bit-identical to analyze()'s Kahn order.
-        self.state = NetState::fresh(n_nets, self.input_slew);
-        self.inst_edges = vec![Vec::new(); n_inst];
-        let ctx = EvalCtx {
-            netlist: &self.netlist,
-            library: &self.library,
-            sinks: &self.sinks,
-            output_nets: &self.output_nets,
-            input_slew: self.input_slew,
-            output_load: self.output_load,
-        };
-        for &id in &self.flops {
-            ctx.eval_flop(
-                id,
-                cells[id.index()],
-                &mut self.state,
-                &mut self.inst_edges[id.index()],
-            )?;
-        }
-        for level in &self.comb_levels {
-            for &id in level {
-                ctx.eval_comb(
-                    id,
-                    cells[id.index()],
-                    &mut self.state,
-                    &mut self.inst_edges[id.index()],
-                )?;
-            }
-        }
-
-        self.stats.instances_total = n_inst;
-        self.stats.last_recomputed += n_inst;
-        self.stats.recomputed_total += n_inst as u64;
+        let (graph, evaluated) =
+            TimingGraph::build(&self.netlist, &self.library, &self.constraints)?;
+        self.graph = graph;
+        self.stats.instances_total = evaluated;
+        self.stats.last_recomputed += evaluated;
+        self.stats.recomputed_total += evaluated as u64;
         self.stats.full_refreshes += 1;
         self.cache = None;
         self.poison = None;
         Ok(())
     }
+}
+
+/// Whether `new` can replace `old` as `inst`'s cell without changing the
+/// graph's structure: the same class (a flop keeping its clock and data
+/// pins), the same role for every connected pin, and every input pin
+/// connected (as a full analysis' validation demands).
+fn fits(inst: &Instance, old: &Cell, new: &Cell) -> bool {
+    let kind_ok = match (&old.class, &new.class) {
+        (CellClass::Combinational, CellClass::Combinational) => true,
+        (
+            CellClass::Flop { clock: c0, data: d0, .. },
+            CellClass::Flop { clock: c1, data: d1, .. },
+        ) => c0 == c1 && d0 == d1,
+        _ => false,
+    };
+    let roles = |c: &Cell, pin: &str| (c.input_cap(pin).is_some(), c.output(pin).is_some());
+    kind_ok
+        && inst.connections.iter().all(|(pin, _)| roles(old, pin) == roles(new, pin))
+        && new.inputs.iter().all(|p| inst.net_on(&p.name).is_some())
 }
 
 #[cfg(test)]
@@ -757,5 +520,38 @@ mod tests {
         assert_eq!(inc.report().unwrap(), &full);
         // The resize changed the Q-net load of ff0, so ff0 was re-launched.
         assert!(inc.stats().last_recomputed >= 2);
+    }
+
+    #[test]
+    fn unknown_instance_is_a_typed_error_and_engine_survives() {
+        let lib = lib();
+        let nl = chain(4);
+        let mut inc = IncrementalSta::new(&nl, &lib, &Constraints::default()).unwrap();
+        let err = inc.recell(InstId::from_index(4), "INV_X4").unwrap_err();
+        assert_eq!(err, StaError::UnknownInstance { index: 4, instances: 4 });
+        assert!(err.to_string().contains("outside the netlist"), "{err}");
+        let far = StaChange::Recell { inst: InstId::from_index(usize::MAX), cell: "INV_X1".into() };
+        assert!(matches!(inc.apply(&[far]), Err(StaError::UnknownInstance { .. })));
+        let full = analyze(&nl, &lib, &Constraints::default()).unwrap();
+        assert_eq!(inc.report().unwrap(), &full);
+        inc.recell(InstId::from_index(3), "INV_X4").unwrap();
+        let mut reference = nl.clone();
+        reference.instance_mut(InstId::from_index(3)).cell = "INV_X4".into();
+        let full = analyze(&reference, &lib, &Constraints::default()).unwrap();
+        assert_eq!(inc.report().unwrap(), &full);
+    }
+
+    #[test]
+    fn failed_library_swap_keeps_the_old_library() {
+        let lib = lib();
+        let nl = chain(4);
+        let mut inc = IncrementalSta::new(&nl, &lib, &Constraints::default()).unwrap();
+        let empty = Library::new("empty", lib.vdd);
+        let err = inc.apply(&[StaChange::SwapLibrary(empty)]).unwrap_err();
+        assert!(matches!(err, StaError::Netlist(NetlistError::UnknownCell { .. })));
+        assert_eq!(inc.library(), &lib);
+        let full = analyze(&nl, &lib, &Constraints::default()).unwrap();
+        assert_eq!(inc.critical_delay().unwrap().to_bits(), full.critical_delay().to_bits());
+        assert_eq!(inc.report().unwrap(), &full);
     }
 }

@@ -103,9 +103,6 @@ pub fn k_worst_paths(
 ) -> Result<Vec<PathSpec>, StaError> {
     let report = crate::analyze(netlist, library, constraints)?;
     let n = netlist.net_count();
-    let sinks = netlist.sinks(library)?;
-    let output_nets: HashSet<NetId> = netlist.output_nets().collect();
-    let output_load = constraints.output_load.unwrap_or(library.default_output_load);
 
     // Rebuild the timing graph edges with the report's propagated slews —
     // identical numbers to the forward analysis.
@@ -120,14 +117,7 @@ pub fn k_worst_paths(
                 for out in &cell.outputs {
                     let Some(q) = inst.net_on(&out.name) else { continue };
                     let Some(arc) = out.arc_from(clock) else { continue };
-                    let load = crate::path::net_load(
-                        library,
-                        &sinks,
-                        netlist,
-                        q,
-                        &output_nets,
-                        output_load,
-                    );
+                    let load = report.load(q);
                     let slew = constraints.input_slew.unwrap_or(library.default_input_slew);
                     for q_rising in [true, false] {
                         let e = Edge {
@@ -145,14 +135,7 @@ pub fn k_worst_paths(
             CellClass::Combinational => {
                 for out in &cell.outputs {
                     let Some(out_net) = inst.net_on(&out.name) else { continue };
-                    let load = crate::path::net_load(
-                        library,
-                        &sinks,
-                        netlist,
-                        out_net,
-                        &output_nets,
-                        output_load,
-                    );
+                    let load = report.load(out_net);
                     for input in &cell.inputs {
                         let Some(arc) = out.arc_from(&input.name) else { continue };
                         let Some(in_net) = inst.net_on(&input.name) else { continue };

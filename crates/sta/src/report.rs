@@ -46,6 +46,7 @@ pub struct TimingReport {
     pub(crate) slew_fall: Vec<f64>,
     pub(crate) required_rise: Vec<f64>,
     pub(crate) required_fall: Vec<f64>,
+    pub(crate) loads: Vec<f64>,
     pub(crate) endpoints: Vec<Endpoint>,
     pub(crate) hold_slacks: Vec<(NetId, f64)>,
     pub(crate) critical: PathSpec,
@@ -128,6 +129,14 @@ impl TimingReport {
         let r = self.required_rise[net_index(net)] - self.arrival_rise[net_index(net)];
         let f = self.required_fall[net_index(net)] - self.arrival_fall[net_index(net)];
         r.min(f)
+    }
+
+    /// Total capacitive load the analysis drove `net` with: its sinks'
+    /// input pins, the per-fanout wire model and, on a primary output, the
+    /// constrained output load.
+    #[must_use]
+    pub fn load(&self, net: NetId) -> f64 {
+        self.loads[net_index(net)]
     }
 
     /// Earliest (min-delay) arrival of either edge at `net` — the quantity

@@ -123,8 +123,12 @@ pub fn size_gates(
     }
 
     // --- pass 1: load-proportional sizing ---
+    let mut is_output = vec![false; nl.net_count()];
+    for net in nl.output_nets() {
+        is_output[net.index()] = true;
+    }
     for _ in 0..2 {
-        let sinks = nl.sinks(library)?;
+        let sinks = sink_table(nl, library)?;
         let mut changes: Vec<(InstId, String)> = Vec::new();
         for id in nl.instance_ids() {
             let inst = nl.instance(id);
@@ -137,18 +141,14 @@ pub fn size_gates(
             // Load on the (first) output.
             let Some(out) = cell.outputs.first() else { continue };
             let Some(out_net) = inst.net_on(&out.name) else { continue };
-            let load: f64 = sinks
-                .get(&out_net)
-                .map(|pins| {
-                    pins.iter()
-                        .filter_map(|(s, p)| {
-                            library.cell(&nl.instance(*s).cell).and_then(|c| c.input_cap(p))
-                        })
-                        .sum()
+            let load: f64 = sinks[out_net.index()]
+                .iter()
+                .filter_map(|&(s, conn)| {
+                    let sink = nl.instance(s);
+                    library.cell(&sink.cell).and_then(|c| c.input_cap(&sink.connections[conn].0))
                 })
-                .unwrap_or(0.0)
-                + library.default_output_load
-                    * f64::from(u8::from(nl.output_nets().any(|n| n == out_net)));
+                .sum::<f64>()
+                + library.default_output_load * f64::from(u8::from(is_output[out_net.index()]));
             // Choose the variant whose max_capacitance comfortably covers
             // the load (electrical-correctness driven, then speed).
             let mut best = inst.cell.clone();
