@@ -19,9 +19,11 @@
 //! Exit status: 0 when no error-severity diagnostics were found, 1 when at
 //! least one error fired, 2 on usage or I/O problems.
 
+use bench::cli::{self, Args, Flag};
 use dataflow::{DataflowConfig, Extraction, NetlistDataflow};
 use flow::{FlowError, RunContext};
 use lint::{LintConfig, LintReport};
+use std::num::NonZeroU32;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -48,98 +50,51 @@ exit status:
   1  at least one error-severity diagnostic
   2  usage or I/O problem";
 
-struct Args {
-    design: Option<String>,
-    lib: Option<String>,
-    verilog: Option<String>,
-    complete: Option<String>,
-    steps: u32,
-    quiet: bool,
-    json: bool,
-    report: Option<String>,
-}
+const FLAGS: &[Flag] = &[
+    Flag::value("--design"),
+    Flag::value("--lib"),
+    Flag::value("--verilog"),
+    Flag::value("--complete"),
+    Flag::value("--steps"),
+    Flag::switch("--quiet"),
+    Flag::switch("--json"),
+    cli::REPORT,
+];
 
-fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args {
-        design: None,
-        lib: None,
-        verilog: None,
-        complete: None,
-        steps: 10,
-        quiet: false,
-        json: false,
-        report: None,
-    };
-    while let Some(flag) = argv.next() {
-        let mut value = |flag: &str| argv.next().ok_or(format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--design" => args.design = Some(value("--design")?),
-            "--lib" => args.lib = Some(value("--lib")?),
-            "--verilog" => args.verilog = Some(value("--verilog")?),
-            "--complete" => args.complete = Some(value("--complete")?),
-            "--steps" => {
-                let v = value("--steps")?;
-                args.steps = v.parse().map_err(|_| format!("bad step count {v}"))?;
-            }
-            "--quiet" => args.quiet = true,
-            "--json" => args.json = true,
-            "--report" => args.report = Some(value("--report")?),
-            "-h" | "--help" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other}")),
-        }
+fn run(args: &Args) -> Result<ExitCode, FlowError> {
+    let design: Option<String> = args.get("--design")?;
+    let lib: Option<String> = args.get("--lib")?;
+    let verilog: Option<String> = args.get("--verilog")?;
+    let steps = args.get::<NonZeroU32>("--steps")?.map_or(10, NonZeroU32::get);
+    let json = args.has("--json");
+    if design.is_some() && (lib.is_some() || verilog.is_some()) {
+        return Err(FlowError::Usage("--design is mutually exclusive with --lib/--verilog".into()));
     }
-    if args.design.is_some() && (args.lib.is_some() || args.verilog.is_some()) {
-        return Err("--design is mutually exclusive with --lib/--verilog".into());
-    }
-    if args.design.is_none() && (args.lib.is_none() || args.verilog.is_none()) {
-        return Err("--design or both --lib and --verilog are required".into());
-    }
-    if args.steps == 0 {
-        return Err("--steps must be positive".into());
-    }
-    Ok(args)
-}
-
-fn read(path: &str) -> Result<String, FlowError> {
-    std::fs::read_to_string(path).map_err(|e| FlowError::io(path, &e))
-}
-
-fn parse_failure(path: &str, e: impl std::fmt::Display) -> FlowError {
-    FlowError::Io { path: path.to_owned(), message: format!("cannot parse: {e}") }
-}
-
-fn run() -> Result<ExitCode, FlowError> {
-    let args = parse_args(std::env::args().skip(1)).map_err(FlowError::Usage)?;
     let ctx = RunContext::new();
 
-    let (netlist, library, complete) = if let Some(name) = &args.design {
-        let design = bench::design_by_name(name)
-            .ok_or_else(|| FlowError::Usage(format!("unknown design {name}")))?;
+    let (netlist, library, complete) = if let Some(name) = &design {
+        let design = bench::design_by_name(name)?;
         let library = synth::test_fixtures::fixture_library();
         let nl = ctx.stage("synthesis", || {
             synth::synthesize(&design.aig, &library, &synth::MapOptions::default())
         })?;
-        let complete = ctx.stage("library", || bench::lambda_scaled_complete(&library, args.steps));
+        let complete = ctx.stage("library", || bench::lambda_scaled_complete(&library, steps));
         (nl, library, Some(complete))
     } else {
-        let lib_path = args.lib.as_deref().unwrap_or_default();
-        let library =
-            liberty::parse_library(&read(lib_path)?).map_err(|e| parse_failure(lib_path, e))?;
-        let v_path = args.verilog.as_deref().unwrap_or_default();
-        let nl = netlist::verilog::parse_verilog(&read(v_path)?)
-            .map_err(|e| parse_failure(v_path, e))?;
-        let complete = match &args.complete {
-            Some(path) => {
-                Some(liberty::parse_library(&read(path)?).map_err(|e| parse_failure(path, e))?)
-            }
-            None => None,
+        let (Some(lib_path), Some(v_path)) = (&lib, &verilog) else {
+            return Err(FlowError::Usage(
+                "--design or both --lib and --verilog are required".into(),
+            ));
         };
-        (nl, library, complete)
+        let library = bench::load_library(lib_path)?;
+        let nl = bench::load_netlist(v_path)?;
+        let complete = args.get::<String>("--complete")?;
+        (nl, library, complete.map(|path| bench::load_library(&path)).transpose()?)
     };
 
     // Under --json, stdout carries the relialint report alone.
     let say = |line: std::fmt::Arguments| {
-        if args.json {
+        if json {
             eprintln!("{line}");
         } else {
             println!("{line}");
@@ -155,7 +110,7 @@ fn run() -> Result<ExitCode, FlowError> {
         df.skipped_instances().len()
     ));
 
-    if !args.quiet {
+    if !args.has("--quiet") {
         say(format_args!("\nper-net signal-probability intervals:"));
         for k in 0..netlist.net_count() {
             let net = netlist::NetId::from_index(k);
@@ -169,10 +124,10 @@ fn run() -> Result<ExitCode, FlowError> {
         }
     }
 
-    let config = LintConfig { lambda_steps: args.steps, ..LintConfig::default() };
+    let config = LintConfig { lambda_steps: steps, ..LintConfig::default() };
     let report = ctx.stage("lint", || LintReport::run(&netlist, &library, &config));
     say(format_args!(""));
-    if args.json {
+    if json {
         print!("{}", report.to_json());
     } else {
         print!("{}", report.render());
@@ -185,7 +140,7 @@ fn run() -> Result<ExitCode, FlowError> {
                     &netlist,
                     &library,
                     &complete,
-                    args.steps,
+                    steps,
                     &DataflowConfig::default(),
                     &sta::Constraints::default(),
                 )
@@ -206,10 +161,10 @@ fn run() -> Result<ExitCode, FlowError> {
     }
 
     ctx.add_tasks("lint", (report.error_count() + report.warning_count()) as u64);
-    bench::cli::emit_report(&ctx, args.report.as_deref().map(std::path::Path::new))?;
+    cli::emit_report(&ctx, args.report().as_deref())?;
     Ok(if report.has_errors() { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 fn main() -> ExitCode {
-    bench::cli::run_code(USAGE, run)
+    cli::run_code(USAGE, FLAGS, run)
 }

@@ -3,21 +3,23 @@
 //! extension from aging-aware synthesis. This binary ladders the years of
 //! worst-case stress and reports the failure year of each design.
 //!
-//! Environment: `RELIAWARE_IMG` sets the image edge (default 24 for speed).
+//! `--image N` sets the image edge length (default 24, for speed).
 
+use bench::cli::{self, Args, Flag};
 use bench::{fresh_library, library_for, ImageChain};
 use bti::json::Json;
 use bti::AgingScenario;
 use flow::{FlowError, RunContext};
 use imgproc::ACCEPTABLE_PSNR_DB;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: lifetime [--report <path>] [--mttf-json <path>]
+const USAGE: &str = "usage: lifetime [--image N] [--report <path>] [--mttf-json <path>]
 
 Failure-year ladder of the DCT→IDCT chain under worst-case stress (Sec. 5).
-RELIAWARE_IMG overrides the test image edge length (default 24).
 
 options:
+  --image N           test image edge length in pixels (default 24)
   --report <path>     write a reliaware-run-v1 JSON run report
   --mttf-json <path>  skip the PSNR ladder; instead run the static lifetime
                       analyzer over all bundled benchmarks and write the
@@ -93,11 +95,7 @@ fn run_mttf(path: &str, ctx: &RunContext) -> Result<(), FlowError> {
             design.name,
             report.instances.len(),
             report.design_mttf_lo_years,
-            if report.years_until_budget.is_finite() {
-                format!("{:.1}", report.years_until_budget)
-            } else {
-                ">1e7".to_owned()
-            },
+            bench::years(report.years_until_budget),
             report.worst_instance.as_deref().unwrap_or("-"),
         );
         blocks.push(design_record(&design.name, &report));
@@ -108,28 +106,17 @@ fn run_mttf(path: &str, ctx: &RunContext) -> Result<(), FlowError> {
     Ok(())
 }
 
-fn run() -> Result<(), FlowError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (mut rest, report) = bench::cli::take_common_flags(&argv)?;
-    let mut mttf_json = None;
-    if let Some(pos) = rest.iter().position(|a| a == "--mttf-json") {
-        if pos + 1 >= rest.len() {
-            return Err(FlowError::Usage("--mttf-json needs a value".into()));
-        }
-        mttf_json = Some(rest.remove(pos + 1));
-        rest.remove(pos);
-    }
-    if let Some(extra) = rest.first() {
-        return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
-    }
-    if let Some(path) = mttf_json {
+const FLAGS: &[Flag] = &[Flag::value("--image"), cli::REPORT, Flag::value("--mttf-json")];
+
+fn run(args: &Args) -> Result<(), FlowError> {
+    let size = args.get::<NonZeroUsize>("--image")?.map_or(24, NonZeroUsize::get);
+    let report = args.report();
+    if let Some(path) = args.get::<String>("--mttf-json")? {
         let ctx = RunContext::new();
         run_mttf(&path, &ctx)?;
-        return bench::cli::emit_report(&ctx, report.as_deref());
+        return cli::emit_report(&ctx, report.as_deref());
     }
     let ctx = bench::context();
-    let size: usize =
-        std::env::var("RELIAWARE_IMG").ok().and_then(|s| s.parse().ok()).unwrap_or(24);
     let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
     let aged10 =
         ctx.stage("characterize", || library_for(&ctx, &AgingScenario::worst_case(10.0)))?;
@@ -169,11 +156,11 @@ fn run() -> Result<(), FlowError> {
         _ => println!("unaware design did not fail within 10 years at this image/clock"),
     }
     println!("(paper: unaware fails within 1 year; aware exceeds 10 years → >10x)");
-    bench::cli::emit_report(&ctx, report.as_deref())
+    cli::emit_report(&ctx, report.as_deref())
 }
 
 fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::run(USAGE, FLAGS, run)
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 //! least one error-severity diagnostic fired (or any warning under
 //! `--deny-warnings`), 2 on usage or I/O problems.
 
+use bench::cli::{self, Args, Flag};
 use flow::{FlowError, RunContext};
 use lint::{LintConfig, LintReport, Rule};
 use std::process::ExitCode;
@@ -76,212 +77,108 @@ exit status:
      --deny-warnings)
   2  usage or I/O problem";
 
-struct Args {
-    lib: Option<String>,
-    verilog: Option<String>,
-    design: Option<String>,
-    fresh_lib: Option<String>,
-    allow: Vec<String>,
-    input_slew: Option<f64>,
-    output_load: Option<f64>,
-    paths: bool,
-    clock_period: Option<f64>,
-    mechanisms: bool,
-    years: Option<f64>,
-    temp_range: Option<(f64, f64)>,
-    vdd_range: Option<(f64, f64)>,
-    mttf_target: Option<f64>,
-    vth_budget: Option<f64>,
-    variation: bool,
-    mc_samples: Option<usize>,
-    mc_seed: Option<u64>,
-    sigma_vth: Option<f64>,
-    max_gap: Option<f64>,
-    deny_warnings: bool,
-    json: bool,
-    list_rules: bool,
-    report: Option<String>,
+const FLAGS: &[Flag] = &[
+    Flag::value("--lib"),
+    Flag::value("--verilog"),
+    Flag::value("--design"),
+    Flag::value("--fresh-lib"),
+    Flag::value("--allow"),
+    Flag::value("--input-slew"),
+    Flag::value("--output-load"),
+    Flag::switch("--paths"),
+    Flag::value("--clock-period"),
+    Flag::switch("--mechanisms"),
+    Flag::value("--years"),
+    Flag::value("--temp-range"),
+    Flag::value("--vdd-range"),
+    Flag::value("--mttf-target"),
+    Flag::value("--vth-budget"),
+    Flag::switch("--variation"),
+    Flag::value("--mc-samples"),
+    Flag::value("--mc-seed"),
+    Flag::value("--sigma-vth"),
+    Flag::value("--max-gap"),
+    Flag::switch("--deny-warnings"),
+    Flag::switch("--json"),
+    Flag::switch("--list-rules"),
+    cli::REPORT,
+];
+
+/// The `LO:HI` interval given for `flag`, if any.
+fn range(args: &Args, flag: &str) -> Result<Option<(f64, f64)>, FlowError> {
+    let Some(raw) = args.get::<String>(flag)? else { return Ok(None) };
+    let bounds =
+        raw.split_once(':').and_then(|(lo, hi)| Some((lo.parse().ok()?, hi.parse().ok()?)));
+    bounds.map(Some).ok_or_else(|| cli::invalid(flag, &raw, "expected LO:HI"))
 }
 
-/// Parses a `LO:HI` range argument.
-fn parse_range(flag: &str, raw: &str) -> Result<(f64, f64), String> {
-    let bad = || format!("{flag} needs LO:HI, got {raw}");
-    let (lo, hi) = raw.split_once(':').ok_or_else(bad)?;
-    Ok((lo.parse().map_err(|_| bad())?, hi.parse().map_err(|_| bad())?))
-}
-
-fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args {
-        lib: None,
-        verilog: None,
-        design: None,
-        fresh_lib: None,
-        allow: Vec::new(),
-        input_slew: None,
-        output_load: None,
-        paths: false,
-        clock_period: None,
-        mechanisms: false,
-        years: None,
-        temp_range: None,
-        vdd_range: None,
-        mttf_target: None,
-        vth_budget: None,
-        variation: false,
-        mc_samples: None,
-        mc_seed: None,
-        sigma_vth: None,
-        max_gap: None,
-        deny_warnings: false,
-        json: false,
-        list_rules: false,
-        report: None,
-    };
-    while let Some(flag) = argv.next() {
-        let mut value = |flag: &str| argv.next().ok_or(format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--lib" => args.lib = Some(value("--lib")?),
-            "--verilog" => args.verilog = Some(value("--verilog")?),
-            "--design" => args.design = Some(value("--design")?),
-            "--fresh-lib" => args.fresh_lib = Some(value("--fresh-lib")?),
-            "--allow" => args.allow.push(value("--allow")?),
-            "--input-slew" => {
-                let v = value("--input-slew")?;
-                args.input_slew = Some(v.parse().map_err(|_| format!("bad slew {v}"))?);
-            }
-            "--output-load" => {
-                let v = value("--output-load")?;
-                args.output_load = Some(v.parse().map_err(|_| format!("bad load {v}"))?);
-            }
-            "--paths" => args.paths = true,
-            "--clock-period" => {
-                let v = value("--clock-period")?;
-                args.clock_period = Some(v.parse().map_err(|_| format!("bad period {v}"))?);
-            }
-            "--mechanisms" => args.mechanisms = true,
-            "--years" => {
-                let v = value("--years")?;
-                args.years = Some(v.parse().map_err(|_| format!("bad years {v}"))?);
-            }
-            "--temp-range" => {
-                args.temp_range = Some(parse_range("--temp-range", &value("--temp-range")?)?);
-            }
-            "--vdd-range" => {
-                args.vdd_range = Some(parse_range("--vdd-range", &value("--vdd-range")?)?);
-            }
-            "--mttf-target" => {
-                let v = value("--mttf-target")?;
-                args.mttf_target = Some(v.parse().map_err(|_| format!("bad target {v}"))?);
-            }
-            "--vth-budget" => {
-                let v = value("--vth-budget")?;
-                args.vth_budget = Some(v.parse().map_err(|_| format!("bad budget {v}"))?);
-            }
-            "--variation" => args.variation = true,
-            "--mc-samples" => {
-                let v = value("--mc-samples")?;
-                args.mc_samples = Some(v.parse().map_err(|_| format!("bad sample count {v}"))?);
-            }
-            "--mc-seed" => {
-                let v = value("--mc-seed")?;
-                args.mc_seed = Some(v.parse().map_err(|_| format!("bad seed {v}"))?);
-            }
-            "--sigma-vth" => {
-                let v = value("--sigma-vth")?;
-                args.sigma_vth = Some(v.parse().map_err(|_| format!("bad sigma {v}"))?);
-            }
-            "--max-gap" => {
-                let v = value("--max-gap")?;
-                args.max_gap = Some(v.parse().map_err(|_| format!("bad gap {v}"))?);
-            }
-            "--deny-warnings" => args.deny_warnings = true,
-            "--json" => args.json = true,
-            "--list-rules" => args.list_rules = true,
-            "--report" => args.report = Some(value("--report")?),
-            "-h" | "--help" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if args.design.is_some() && (args.lib.is_some() || args.verilog.is_some()) {
-        return Err("--design is mutually exclusive with --lib/--verilog".into());
-    }
-    if !args.list_rules && args.lib.is_none() && args.design.is_none() {
-        return Err("--lib or --design is required".into());
-    }
-    Ok(args)
-}
-
-fn list_rules() {
+fn print_rules() {
     println!("{:<7} {:<8} summary", "code", "severity");
     for rule in Rule::ALL {
         println!("{:<7} {:<8} {}", rule.code(), rule.severity().label(), rule.summary());
     }
 }
 
-fn read(path: &str) -> Result<String, FlowError> {
-    std::fs::read_to_string(path).map_err(|e| FlowError::io(path, &e))
-}
-
-fn parse_failure(path: &str, e: impl std::fmt::Display) -> FlowError {
-    FlowError::Io { path: path.to_owned(), message: format!("cannot parse: {e}") }
-}
-
-fn run() -> Result<ExitCode, FlowError> {
-    let args = parse_args(std::env::args().skip(1)).map_err(FlowError::Usage)?;
-    if args.list_rules {
-        list_rules();
+fn run(args: &Args) -> Result<ExitCode, FlowError> {
+    let lib: Option<String> = args.get("--lib")?;
+    let verilog: Option<String> = args.get("--verilog")?;
+    let design: Option<String> = args.get("--design")?;
+    let fresh_lib: Option<String> = args.get("--fresh-lib")?;
+    let allow: Vec<String> = args.all("--allow")?;
+    let input_slew: Option<f64> = args.get("--input-slew")?;
+    let output_load: Option<f64> = args.get("--output-load")?;
+    let paths = args.has("--paths");
+    let clock_period: Option<f64> = args.get("--clock-period")?;
+    let years: Option<f64> = args.get("--years")?;
+    let temp_range = range(args, "--temp-range")?;
+    let vdd_range = range(args, "--vdd-range")?;
+    let mttf_target: Option<f64> = args.get("--mttf-target")?;
+    let vth_budget: Option<f64> = args.get("--vth-budget")?;
+    let mc_samples: Option<usize> = args.get("--mc-samples")?;
+    let mc_seed: Option<u64> = args.get("--mc-seed")?;
+    let sigma_vth: Option<f64> = args.get("--sigma-vth")?;
+    let max_gap: Option<f64> = args.get("--max-gap")?;
+    if design.is_some() && (lib.is_some() || verilog.is_some()) {
+        return Err(FlowError::Usage("--design is mutually exclusive with --lib/--verilog".into()));
+    }
+    if args.has("--list-rules") {
+        print_rules();
         return Ok(ExitCode::SUCCESS);
     }
-    let ctx = RunContext::new();
+    if lib.is_none() && design.is_none() {
+        return Err(FlowError::Usage("--lib or --design is required".into()));
+    }
 
     let mut config = LintConfig::default()
-        .allow_codes(args.allow.iter().map(String::as_str))
+        .allow_codes(allow.iter().map(String::as_str))
         .map_err(|code| FlowError::Usage(format!("unknown rule code {code}")))?;
-    config.input_slew = args.input_slew;
-    config.output_load = args.output_load;
-    if args.mechanisms
-        || args.years.is_some()
-        || args.temp_range.is_some()
-        || args.vdd_range.is_some()
-        || args.mttf_target.is_some()
-        || args.vth_budget.is_some()
+    config.input_slew = input_slew;
+    config.output_load = output_load;
+    if args.has("--mechanisms")
+        || years.is_some()
+        || temp_range.is_some()
+        || vdd_range.is_some()
+        || mttf_target.is_some()
+        || vth_budget.is_some()
     {
         let lt = config.lifetime.get_or_insert_with(lint::LifetimeLintConfig::default);
-        if let Some(years) = args.years {
-            lt.config.years = years;
-        }
-        if let Some(range) = args.temp_range {
-            lt.config.temperature_range = range;
-        }
-        if let Some(range) = args.vdd_range {
-            lt.config.vdd_range = range;
-        }
-        if let Some(target) = args.mttf_target {
-            lt.mttf_target_years = target;
-        }
-        if let Some(budget) = args.vth_budget {
-            lt.config.vth_budget = budget;
-        }
+        lt.config.years = years.unwrap_or(lt.config.years);
+        lt.config.temperature_range = temp_range.unwrap_or(lt.config.temperature_range);
+        lt.config.vdd_range = vdd_range.unwrap_or(lt.config.vdd_range);
+        lt.mttf_target_years = mttf_target.unwrap_or(lt.mttf_target_years);
+        lt.config.vth_budget = vth_budget.unwrap_or(lt.config.vth_budget);
     }
-    if args.variation
-        || args.mc_samples.is_some()
-        || args.mc_seed.is_some()
-        || args.sigma_vth.is_some()
-        || args.max_gap.is_some()
+    if args.has("--variation")
+        || mc_samples.is_some()
+        || mc_seed.is_some()
+        || sigma_vth.is_some()
+        || max_gap.is_some()
     {
         let pv = config.variation.get_or_insert_with(lint::VariationLintConfig::default);
-        if let Some(samples) = args.mc_samples {
-            pv.sampling.samples = samples;
-        }
-        if let Some(seed) = args.mc_seed {
-            pv.sampling.seed = seed;
-        }
-        if let Some(sigma) = args.sigma_vth {
-            pv.sampling.sigma_vth = sigma;
-        }
-        if let Some(gap) = args.max_gap {
-            pv.max_gap = gap;
-        }
+        pv.sampling.samples = mc_samples.unwrap_or(pv.sampling.samples);
+        pv.sampling.seed = mc_seed.unwrap_or(pv.sampling.seed);
+        pv.sampling.sigma_vth = sigma_vth.unwrap_or(pv.sampling.sigma_vth);
+        pv.max_gap = max_gap.unwrap_or(pv.max_gap);
         // The PV pass shares the lifetime configuration when one is set,
         // so --years/--temp-range/... shape both passes consistently.
         if let Some(lt) = &config.lifetime {
@@ -289,18 +186,19 @@ fn run() -> Result<ExitCode, FlowError> {
         }
     }
 
-    let report = if let Some(name) = &args.design {
-        let design = bench::design_by_name(name)
-            .ok_or_else(|| FlowError::Usage(format!("unknown design {name}")))?;
+    let ctx = RunContext::new();
+
+    let report = if let Some(name) = &design {
+        let design = bench::design_by_name(name)?;
         let library = synth::test_fixtures::fixture_library();
         let nl = ctx.stage("synthesis", || {
             synth::synthesize(&design.aig, &library, &synth::MapOptions::default())
         })?;
         let mut report = ctx.stage("lint", || LintReport::run(&nl, &library, &config));
-        if args.paths {
+        if paths {
             // PT needs a constrained design; default to a comfortable 2x
             // the fresh critical path when no period was given.
-            config.clock_period = match args.clock_period {
+            config.clock_period = match clock_period {
                 Some(p) => Some(p),
                 None => {
                     let cp =
@@ -315,19 +213,16 @@ fn run() -> Result<ExitCode, FlowError> {
         }
         report
     } else {
-        let lib_path = args.lib.as_deref().unwrap_or_default();
-        let library =
-            liberty::parse_library(&read(lib_path)?).map_err(|e| parse_failure(lib_path, e))?;
-        let mut report = match &args.verilog {
+        let lib_path = lib.as_deref().unwrap_or_default();
+        let library = bench::load_library(lib_path)?;
+        let mut report = match &verilog {
             Some(path) => {
-                let nl = netlist::verilog::parse_verilog(&read(path)?)
-                    .map_err(|e| parse_failure(path, e))?;
+                let nl = bench::load_netlist(path)?;
                 let mut report = ctx.stage("lint", || LintReport::run(&nl, &library, &config));
-                if args.paths {
-                    config.clock_period = args.clock_period;
-                    let base = match &args.fresh_lib {
-                        Some(path) => liberty::parse_library(&read(path)?)
-                            .map_err(|e| parse_failure(path, e))?,
+                if paths {
+                    config.clock_period = clock_period;
+                    let base = match &fresh_lib {
+                        Some(path) => bench::load_library(path)?,
                         None => library.clone(),
                     };
                     report = report.merged_with(ctx.stage("lint-paths", || {
@@ -336,13 +231,13 @@ fn run() -> Result<ExitCode, FlowError> {
                 }
                 report
             }
-            None if args.paths => {
+            None if paths => {
                 return Err(FlowError::Usage("--paths needs --verilog or --design".into()));
             }
             None => ctx.stage("lint", || LintReport::run_library(&library, &config)),
         };
-        if let Some(path) = &args.fresh_lib {
-            let fresh = liberty::parse_library(&read(path)?).map_err(|e| parse_failure(path, e))?;
+        if let Some(path) = &fresh_lib {
+            let fresh = bench::load_library(path)?;
             report = report.merged_with(
                 ctx.stage("lint", || LintReport::run_aging(&fresh, &library, &config)),
             );
@@ -350,17 +245,17 @@ fn run() -> Result<ExitCode, FlowError> {
         report
     };
 
-    if args.json {
+    if args.has("--json") {
         print!("{}", report.to_json());
     } else {
         print!("{}", report.render());
     }
     ctx.add_tasks("lint", (report.error_count() + report.warning_count()) as u64);
-    bench::cli::emit_report(&ctx, args.report.as_deref().map(std::path::Path::new))?;
-    let fail = report.has_errors() || (args.deny_warnings && report.warning_count() > 0);
+    cli::emit_report(&ctx, args.report().as_deref())?;
+    let fail = report.has_errors() || (args.has("--deny-warnings") && report.warning_count() > 0);
     Ok(if fail { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 fn main() -> ExitCode {
-    bench::cli::run_code(USAGE, run)
+    cli::run_code(USAGE, FLAGS, run)
 }

@@ -27,13 +27,15 @@
 //!         [--min-scaling X] [--out DIR]
 //! ```
 
+use bench::cli::{self, Args, Flag};
 use bench::loadreport::LoadgenRecord;
 use flow::{CharConfig, Characterizer, FlowError};
 use liberty::write_library;
 use serve::{
     run_load, run_storm, CharRequest, LoadConfig, LoadReport, ServeConfig, Server, StormReport,
 };
-use std::path::{Path, PathBuf};
+use std::num::NonZeroUsize;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 use stdcells::CellSet;
@@ -69,89 +71,52 @@ struct Options {
     out_dir: PathBuf,
 }
 
-fn parse_args() -> Result<Options, FlowError> {
-    let mut opts = Options {
-        smoke: false,
-        socket: None,
-        clients: vec![1, 2, 4, 8],
-        requests: 32,
-        keys: 8,
-        bias: 0.3,
-        cold: false,
-        storm_clients: 8,
-        min_scaling: None,
-        out_dir: repo_root(),
-    };
-    let mut clients_set = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().ok_or_else(|| FlowError::Usage(format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--cold" => opts.cold = true,
-            "--socket" => opts.socket = Some(PathBuf::from(value("--socket")?)),
-            "--out" => opts.out_dir = PathBuf::from(value("--out")?),
-            "--clients" => {
-                opts.clients = value("--clients")?
-                    .split(',')
-                    .map(|v| v.trim().parse::<usize>())
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|_| FlowError::Usage("--clients wants e.g. 1,2,4,8".into()))?;
-                clients_set = true;
-                if opts.clients.is_empty() || opts.clients.contains(&0) {
-                    return Err(FlowError::Usage("--clients must be positive".into()));
-                }
-            }
-            "--requests" => {
-                opts.requests = value("--requests")?
-                    .parse()
-                    .map_err(|_| FlowError::Usage("--requests needs an integer".into()))?;
-            }
-            "--keys" => {
-                opts.keys = value("--keys")?
-                    .parse()
-                    .map_err(|_| FlowError::Usage("--keys needs an integer".into()))?;
-            }
-            "--storm-clients" => {
-                opts.storm_clients = value("--storm-clients")?
-                    .parse()
-                    .map_err(|_| FlowError::Usage("--storm-clients needs an integer".into()))?;
-            }
-            "--bias" => {
-                opts.bias = value("--bias")?
-                    .parse()
-                    .map_err(|_| FlowError::Usage("--bias needs a number in [0,1]".into()))?;
-            }
-            "--min-scaling" => {
-                opts.min_scaling = Some(
-                    value("--min-scaling")?
-                        .parse()
-                        .map_err(|_| FlowError::Usage("--min-scaling needs a number".into()))?,
-                );
-            }
-            "-h" | "--help" => return Err(FlowError::Usage(String::new())),
-            other => return Err(FlowError::Usage(format!("unknown argument: {other}"))),
-        }
-    }
-    if opts.smoke && !clients_set {
-        opts.clients = vec![1, 4];
-        opts.requests = 8;
-        opts.keys = 3;
-        opts.storm_clients = 6;
-    }
-    if !(0.0..=1.0).contains(&opts.bias) {
-        return Err(FlowError::Usage(format!("--bias must be in [0,1], got {}", opts.bias)));
-    }
-    Ok(opts)
-}
+const FLAGS: &[Flag] = &[
+    Flag::switch("--smoke"),
+    Flag::value("--socket"),
+    Flag::value("--clients"),
+    Flag::value("--requests"),
+    Flag::value("--keys"),
+    Flag::value("--bias"),
+    Flag::switch("--cold"),
+    Flag::value("--storm-clients"),
+    Flag::value("--min-scaling"),
+    Flag::value("--out"),
+];
 
-fn repo_root() -> PathBuf {
-    let mut path = Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf();
-    path.pop();
-    path.pop();
-    path
+fn options(args: &Args) -> Result<Options, FlowError> {
+    let clients: Option<Vec<usize>> = match args.get::<String>("--clients")? {
+        Some(list) => Some(
+            list.split(',')
+                .map(|v| v.trim().parse::<NonZeroUsize>().map(usize::from))
+                .collect::<Result<_, _>>()
+                .map_err(|e| cli::invalid("--clients", &list, e))?,
+        ),
+        None => None,
+    };
+    // Without --clients, --smoke pins a small mix.
+    let small = args.has("--smoke") && clients.is_none();
+    let count = |flag: &str, full: usize, smoke: usize| {
+        Ok::<_, FlowError>(
+            args.get::<NonZeroUsize>(flag)?.map_or(if small { smoke } else { full }, usize::from),
+        )
+    };
+    let bias = args.get::<f64>("--bias")?.unwrap_or(0.3);
+    if !(0.0..=1.0).contains(&bias) {
+        return Err(cli::invalid("--bias", bias, "must be in [0,1]"));
+    }
+    Ok(Options {
+        smoke: args.has("--smoke"),
+        socket: args.get("--socket")?,
+        clients: clients.unwrap_or_else(|| if small { vec![1, 4] } else { vec![1, 2, 4, 8] }),
+        requests: count("--requests", 32, 8)?,
+        keys: count("--keys", 8, 3)?,
+        bias,
+        cold: args.has("--cold"),
+        storm_clients: count("--storm-clients", 8, 6)?,
+        min_scaling: args.get("--min-scaling")?,
+        out_dir: args.get("--out")?.unwrap_or_else(bench::repo_root),
+    })
 }
 
 fn temp_socket(tag: &str) -> PathBuf {
@@ -221,8 +186,8 @@ fn shed_phase() -> Result<(u64, u64), FlowError> {
     Ok((overloads, served))
 }
 
-fn run() -> Result<(), FlowError> {
-    let opts = parse_args()?;
+fn run(args: &Args) -> Result<(), FlowError> {
+    let opts = options(args)?;
     let max_clients = opts.clients.iter().copied().max().unwrap_or(1);
 
     // Spawn an in-process server unless targeting an external one.
@@ -407,5 +372,5 @@ fn scaling_ratio(loads: &[LoadReport]) -> Option<f64> {
 }
 
 fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::run(USAGE, FLAGS, run)
 }

@@ -16,9 +16,11 @@
 //! Exit status: 0 on success, 1 when any sampled die falls below the
 //! variation-aware static bound (a soundness violation), 2 on usage errors.
 
+use bench::cli::{self, Args, Flag};
 use bti::json::{Json, MAX_SAFE_INT};
 use dataflow::{McDistribution, McSampling};
 use flow::{FlowError, RunContext};
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -46,66 +48,27 @@ exit status:
   1  a sampled die fell below the variation-aware static bound
   2  usage or I/O problem";
 
-struct Args {
-    designs: Vec<String>,
-    samples: Option<usize>,
-    seed: u64,
-    sigma_vth: f64,
-    clamp: f64,
-    workers: usize,
-    json: Option<String>,
-    smoke: bool,
-}
+const FLAGS: &[Flag] = &[
+    Flag::value("--design"),
+    Flag::value("--samples"),
+    Flag::value("--seed"),
+    Flag::value("--sigma-vth"),
+    Flag::value("--clamp"),
+    Flag::value("--workers"),
+    Flag::value("--json"),
+    Flag::switch("--smoke"),
+    cli::REPORT,
+];
 
-fn parse_args(rest: Vec<String>) -> Result<Args, FlowError> {
-    let mut args = Args {
-        designs: Vec::new(),
-        samples: None,
-        seed: 1,
-        sigma_vth: 0.015,
-        clamp: 4.0,
-        workers: 4,
-        json: None,
-        smoke: false,
-    };
-    let mut it = rest.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |flag: &str| it.next().ok_or_else(|| FlowError::Usage(format!("{flag} needs a value")));
-        let parse = |flag: &str, v: &str| -> Result<f64, FlowError> {
-            v.parse().map_err(|_| FlowError::Usage(format!("bad {flag} value {v}")))
-        };
-        match flag.as_str() {
-            "--design" => args.designs.push(value("--design")?),
-            "--samples" => {
-                let v = value("--samples")?;
-                let n = v.parse().ok().filter(|&n: &usize| n > 0);
-                args.samples = Some(n.ok_or_else(|| {
-                    FlowError::Usage(format!("--samples needs at least 1 die, got {v}"))
-                })?);
-            }
-            "--seed" => {
-                // The record carries the seed as a JSON number, which holds
-                // integers exactly only below 2^53.
-                let v = value("--seed")?;
-                let seed = v.parse().ok().filter(|&s: &u64| s <= MAX_SAFE_INT);
-                args.seed = seed.ok_or_else(|| {
-                    FlowError::Usage(format!("--seed needs an integer in [0, 2^53), got {v}"))
-                })?;
-            }
-            "--sigma-vth" => args.sigma_vth = parse("--sigma-vth", &value("--sigma-vth")?)?,
-            "--clamp" => args.clamp = parse("--clamp", &value("--clamp")?)?,
-            "--workers" => {
-                let v = value("--workers")?;
-                args.workers =
-                    v.parse().map_err(|_| FlowError::Usage(format!("bad workers {v}")))?;
-            }
-            "--json" => args.json = Some(value("--json")?),
-            "--smoke" => args.smoke = true,
-            other => return Err(FlowError::Usage(format!("unknown flag {other}"))),
+/// The `--seed` value (default 1). The record carries the seed as a JSON
+/// number, which holds integers exactly only below 2^53.
+fn seed(args: &Args) -> Result<u64, FlowError> {
+    match args.get::<u64>("--seed")? {
+        Some(seed) if seed > MAX_SAFE_INT => {
+            Err(cli::invalid("--seed", seed, "needs an integer in [0, 2^53)"))
         }
+        seed => Ok(seed.unwrap_or(1)),
     }
-    Ok(args)
 }
 
 /// One design's entry in the `reliaware-mcvar-v1` record.
@@ -138,38 +101,23 @@ fn mcvar_record(sampling: &McSampling, designs: Vec<Json>) -> Json {
     ])
 }
 
-fn fmt_years(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        ">1e7".to_owned()
-    }
-}
-
-fn run() -> Result<ExitCode, FlowError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, report_path) = bench::cli::take_common_flags(&argv)?;
-    let args = parse_args(rest)?;
-    let samples = args.samples.unwrap_or(if args.smoke { 16 } else { 256 });
-
-    let designs: Vec<circuits::Design> = if args.designs.is_empty() {
+fn run(args: &Args) -> Result<ExitCode, FlowError> {
+    let default_samples = if args.has("--smoke") { 16 } else { 256 };
+    let samples = args.get::<NonZeroUsize>("--samples")?.map_or(default_samples, usize::from);
+    let names: Vec<String> = args.all("--design")?;
+    let designs: Vec<circuits::Design> = if names.is_empty() {
         circuits::all_benchmarks()
     } else {
-        args.designs
-            .iter()
-            .map(|name| {
-                bench::design_by_name(name)
-                    .ok_or_else(|| FlowError::Usage(format!("unknown design {name}")))
-            })
-            .collect::<Result<_, _>>()?
+        names.iter().map(|name| bench::design_by_name(name)).collect::<Result<_, _>>()?
     };
 
-    let ctx = RunContext::new().with_workers(args.workers.max(1));
+    let workers = args.get::<NonZeroUsize>("--workers")?.map_or(4, usize::from);
+    let ctx = RunContext::new().with_workers(workers);
     let sampling = McSampling {
         samples,
-        seed: args.seed,
-        sigma_vth: args.sigma_vth,
-        clamp_sigmas: args.clamp,
+        seed: seed(args)?,
+        sigma_vth: args.get("--sigma-vth")?.unwrap_or(0.015),
+        clamp_sigmas: args.get("--clamp")?.unwrap_or(4.0),
     };
     if let Some(problem) = sampling.validation_errors().into_iter().next() {
         return Err(FlowError::Usage(problem));
@@ -181,7 +129,7 @@ fn run() -> Result<ExitCode, FlowError> {
 
     println!(
         "Monte-Carlo design-MTTF distributions ({samples} dies, sigma {} V, clamp {}σ, seed {})\n",
-        args.sigma_vth, args.clamp, args.seed
+        sampling.sigma_vth, sampling.clamp_sigmas, sampling.seed
     );
     println!(
         "| design | instances | nominal [y] | var-bound [y] | min [y] | p5 [y] | median [y] \
@@ -205,24 +153,24 @@ fn run() -> Result<ExitCode, FlowError> {
             "| {} | {} | {} | {} | {} | {} | {} | {} | {:.3} | {} |",
             design.name,
             outcome.report.instances.len(),
-            fmt_years(dist.nominal_years),
-            fmt_years(dist.static_bound_years),
-            fmt_years(dist.min_years()),
-            fmt_years(dist.quantile_years(0.05)),
-            fmt_years(dist.median_years()),
-            fmt_years(dist.quantile_years(0.95)),
+            bench::years(dist.nominal_years),
+            bench::years(dist.static_bound_years),
+            bench::years(dist.min_years()),
+            bench::years(dist.quantile_years(0.05)),
+            bench::years(dist.median_years()),
+            bench::years(dist.quantile_years(0.95)),
             dist.p5_retention(),
             if contained { "yes" } else { "NO" },
         );
         blocks.push(design_record(&design.name, outcome.report.instances.len(), dist, contained));
     }
 
-    if let Some(path) = &args.json {
+    if let Some(path) = args.get::<String>("--json")? {
         let json = mcvar_record(&sampling, blocks).render_pretty();
-        std::fs::write(path, json).map_err(|e| FlowError::io(path, &e))?;
+        std::fs::write(&path, json).map_err(|e| FlowError::io(&path, &e))?;
         println!("\nwrote {path}");
     }
-    bench::cli::emit_report(&ctx, report_path.as_deref())?;
+    cli::emit_report(&ctx, args.report().as_deref())?;
     if all_contained {
         Ok(ExitCode::SUCCESS)
     } else {
@@ -232,7 +180,7 @@ fn run() -> Result<ExitCode, FlowError> {
 }
 
 fn main() -> ExitCode {
-    bench::cli::run_code(USAGE, run)
+    cli::run_code(USAGE, FLAGS, run)
 }
 
 #[cfg(test)]
@@ -266,7 +214,7 @@ mod tests {
 
     #[test]
     fn seeds_the_record_cannot_carry_are_usage_errors() {
-        let seed = |v: &str| parse_args(vec!["--seed".into(), v.into()]).map(|a| a.seed);
+        let seed = |v: &str| cli::parse(&["--seed".into(), v.into()], FLAGS).and_then(|a| seed(&a));
         assert_eq!(seed("9007199254740991").ok(), Some(MAX_SAFE_INT));
         for bad in ["9007199254740992", "9007199254740993", "-5", "2.7"] {
             let err = seed(bad).err().unwrap_or_else(|| panic!("accepted {bad}"));

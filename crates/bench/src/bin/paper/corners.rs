@@ -3,27 +3,13 @@
 //! Arrhenius/field acceleration, so hotter or over-driven parts need larger
 //! guardbands — quantified here on the DCT benchmark.
 
+use bench::cli::{self, Args};
 use bench::{fresh_library, library_for, ps, row};
 use bti::AgingScenario;
 use flow::{estimate_guardband, FlowError};
 use sta::Constraints;
-use std::process::ExitCode;
 
-const USAGE: &str = "usage: corners [--report <path>]
-
-Guardband vs environment corner on the DCT benchmark.
-
-options:
-  --report <path>  write a reliaware-run-v1 JSON run report
-  -h, --help       show this help
-";
-
-fn run() -> Result<(), FlowError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, report) = bench::cli::take_common_flags(&argv)?;
-    if let Some(extra) = rest.first() {
-        return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
-    }
+pub fn run(args: &Args) -> Result<(), FlowError> {
     let ctx = bench::context();
 
     let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
@@ -47,9 +33,5 @@ fn run() -> Result<(), FlowError> {
     }
     println!("\nGuardbands grow monotonically with junction temperature and stress");
     println!("voltage — the acceleration factors of the BTI kinetics (DESIGN.md).");
-    bench::cli::emit_report(&ctx, report.as_deref())
-}
-
-fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::emit_report(&ctx, args.report().as_deref())
 }

@@ -3,36 +3,21 @@
 //! λ-indexed cells and time it against the merged complete
 //! degradation-aware library.
 //!
-//! Environment: `RELIAWARE_STEPS` sets the λ-grid interval count (default 2
-//! → a 3×3 grid / 9 characterized libraries; the paper's 10 → 121 libraries
-//! takes ~30 min on one core, all cached).
+//! `--steps N` sets the λ-grid interval count (default 2 → a 3×3 grid / 9
+//! characterized libraries; the paper's 10 → 121 libraries takes ~30 min on
+//! one core, all cached).
 
+use bench::cli::{self, Args};
 use bench::{characterizer_in, ps, row, LIFETIME_YEARS};
 use flow::FlowError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sta::Constraints;
-use std::process::ExitCode;
+use std::num::NonZeroU32;
 
-const USAGE: &str = "usage: dynamic_stress [--report <path>]
-
-Workload-driven λ-annotated timing vs the static worst case (Sec. 4.2).
-RELIAWARE_STEPS sets the λ-grid interval count (default 2).
-
-options:
-  --report <path>  write a reliaware-run-v1 JSON run report
-  -h, --help       show this help
-";
-
-fn run() -> Result<(), FlowError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, report) = bench::cli::take_common_flags(&argv)?;
-    if let Some(extra) = rest.first() {
-        return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
-    }
+pub fn run(args: &Args) -> Result<(), FlowError> {
+    let steps = args.get::<NonZeroU32>("--steps")?.map_or(2, NonZeroU32::get);
     let ctx = bench::context();
-    let steps: u32 =
-        std::env::var("RELIAWARE_STEPS").ok().and_then(|s| s.parse().ok()).unwrap_or(2);
     let fresh = ctx.stage("characterize", || bench::fresh_library(&ctx))?;
     let chars = characterizer_in(&ctx)?;
     let complete = ctx.stage("characterize", || chars.complete_library(steps, LIFETIME_YEARS))?;
@@ -95,9 +80,5 @@ fn run() -> Result<(), FlowError> {
     println!("\nThe workload-specific guardband is bounded by the static worst case,");
     println!("exactly as Sec. 4.2 argues; suppressing aging for *any* workload");
     println!("requires the λ=1 static analysis.");
-    bench::cli::emit_report(&ctx, report.as_deref())
-}
-
-fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::emit_report(&ctx, args.report().as_deref())
 }

@@ -5,25 +5,11 @@
 //! input slew, shrinks with load) and Fig. 1(b) (NOR: the fall arc
 //! *improves* at large slews / small loads).
 
+use bench::cli::{self, Args};
 use bench::{fresh_library, worst_library};
 use flow::{CharError, FlowError};
-use std::process::ExitCode;
 
-const USAGE: &str = "usage: fig1 [--report <path>]
-
-Worst-case aging impact surfaces for NAND2/NOR2 (paper Fig. 1).
-
-options:
-  --report <path>  write a reliaware-run-v1 JSON run report
-  -h, --help       show this help
-";
-
-fn run() -> Result<(), FlowError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, report) = bench::cli::take_common_flags(&argv)?;
-    if let Some(extra) = rest.first() {
-        return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
-    }
+pub fn run(args: &Args) -> Result<(), FlowError> {
     let ctx = bench::context();
     let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
     let aged = ctx.stage("characterize", || worst_library(&ctx))?;
@@ -80,9 +66,5 @@ fn run() -> Result<(), FlowError> {
     }
     println!("\nShape check (paper): NAND impact grows with slew, shrinks with load;");
     println!("NOR fall arc improves (negative %) at large slew + small load.");
-    bench::cli::emit_report(&ctx, report.as_deref())
-}
-
-fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::emit_report(&ctx, args.report().as_deref())
 }

@@ -2,19 +2,10 @@
 //! cell library: a single operating condition sees only degradation, the
 //! full 7×7 OPC grid reveals a wide spread including *improvements*.
 
+use bench::cli::{self, Args};
 use bench::{fresh_library, worst_library};
 use flow::FlowError;
 use liberty::Table2d;
-use std::process::ExitCode;
-
-const USAGE: &str = "usage: fig2 [--report <path>]
-
-Library-wide delay-change histograms under worst-case aging (paper Fig. 2).
-
-options:
-  --report <path>  write a reliaware-run-v1 JSON run report
-  -h, --help       show this help
-";
 
 /// Delays shorter than this are dominated by measurement convention (50 %
 /// crossings can even go negative for very slow inputs); ratios over them
@@ -75,12 +66,7 @@ fn histogram(title: &str, samples: &[f64]) {
     }
 }
 
-fn run() -> Result<(), FlowError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, report) = bench::cli::take_common_flags(&argv)?;
-    if let Some(extra) = rest.first() {
-        return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
-    }
+pub fn run(args: &Args) -> Result<(), FlowError> {
     let ctx = bench::context();
     let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
     let aged = ctx.stage("characterize", || worst_library(&ctx))?;
@@ -107,9 +93,5 @@ fn run() -> Result<(), FlowError> {
     println!("\nPaper shape: single-OPC histogram is all-degradation with a narrow range;");
     println!("multi-OPC histogram is much wider and a noticeable share of points improve.");
     ctx.add_tasks("report", 2);
-    bench::cli::emit_report(&ctx, report.as_deref())
-}
-
-fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::emit_report(&ctx, args.report().as_deref())
 }

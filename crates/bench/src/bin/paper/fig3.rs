@@ -6,21 +6,12 @@
 //! small space of 3-cell paths (start strength × gate chain) and print the
 //! first pair that switches, with per-stage delays before/after aging.
 
+use bench::cli::{self, Args};
 use bench::{fresh_library, ps, worst_library};
 use flow::{EvalError, FlowError};
 use liberty::Library;
 use netlist::{Netlist, NetlistError, PortDir};
 use sta::{analyze, Constraints};
-use std::process::ExitCode;
-
-const USAGE: &str = "usage: fig3 [--report <path>]
-
-Criticality-switch path pair under worst-case aging (paper Fig. 3).
-
-options:
-  --report <path>  write a reliaware-run-v1 JSON run report
-  -h, --help       show this help
-";
 
 /// Builds a linear path `cells[0] → cells[1] → …` (input pin A, other pins
 /// tied to the second input port) and returns the netlist.
@@ -65,12 +56,7 @@ fn per_stage(cells: &[&str], lib: &Library) -> Result<Vec<f64>, FlowError> {
     Ok(report.critical_path().steps.iter().map(|s| s.delay).collect())
 }
 
-fn run() -> Result<(), FlowError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, report) = bench::cli::take_common_flags(&argv)?;
-    if let Some(extra) = rest.first() {
-        return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
-    }
+pub fn run(args: &Args) -> Result<(), FlowError> {
     let ctx = bench::context();
     let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
     let aged = ctx.stage("characterize", || worst_library(&ctx))?;
@@ -150,9 +136,5 @@ fn run() -> Result<(), FlowError> {
             }));
         }
     }
-    bench::cli::emit_report(&ctx, report.as_deref())
-}
-
-fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::emit_report(&ctx, args.report().as_deref())
 }

@@ -2,28 +2,14 @@
 //! (the state of the art): ignoring the mobility degradation
 //! under-estimates the required guardband.
 
+use bench::cli::{self, Args};
 use bench::{
     benchmark_netlists, fresh_library, pct, ps, row, worst_library, worst_vth_only_library,
 };
 use flow::{estimate_guardband, FlowError};
 use sta::Constraints;
-use std::process::ExitCode;
 
-const USAGE: &str = "usage: fig5a [--report <path>]
-
-Guardband with Vth+mu vs Vth-only degradation (paper Fig. 5a).
-
-options:
-  --report <path>  write a reliaware-run-v1 JSON run report
-  -h, --help       show this help
-";
-
-fn run() -> Result<(), FlowError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, report) = bench::cli::take_common_flags(&argv)?;
-    if let Some(extra) = rest.first() {
-        return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
-    }
+pub fn run(args: &Args) -> Result<(), FlowError> {
     let ctx = bench::context();
     let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
     let aged_full = ctx.stage("characterize", || worst_library(&ctx))?;
@@ -51,9 +37,5 @@ fn run() -> Result<(), FlowError> {
     let avg = ratios.iter().sum::<f64>() / ratios.len() as f64;
     println!("\naverage under-estimation when neglecting mobility: {}", pct(avg));
     println!("(paper reports −19% on average)");
-    bench::cli::emit_report(&ctx, report.as_deref())
-}
-
-fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::emit_report(&ctx, args.report().as_deref())
 }

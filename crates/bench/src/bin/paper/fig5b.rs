@@ -2,26 +2,12 @@
 //! full multi-OPC tables: single-OPC characterization (pessimistic corner)
 //! grossly over-estimates the required guardband.
 
+use bench::cli::{self, Args};
 use bench::{benchmark_netlists, fresh_library, pct, ps, row, worst_library};
 use flow::{estimate_guardband, single_opc_aged_library, FlowError};
 use sta::Constraints;
-use std::process::ExitCode;
 
-const USAGE: &str = "usage: fig5b [--report <path>]
-
-Guardband from 49 OPCs vs a single pessimistic OPC (paper Fig. 5b).
-
-options:
-  --report <path>  write a reliaware-run-v1 JSON run report
-  -h, --help       show this help
-";
-
-fn run() -> Result<(), FlowError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, report) = bench::cli::take_common_flags(&argv)?;
-    if let Some(extra) = rest.first() {
-        return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
-    }
+pub fn run(args: &Args) -> Result<(), FlowError> {
     let ctx = bench::context();
     let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
     let aged = ctx.stage("characterize", || worst_library(&ctx))?;
@@ -56,9 +42,5 @@ fn run() -> Result<(), FlowError> {
     let avg = ratios.iter().sum::<f64>() / ratios.len() as f64;
     println!("\naverage over-estimation from a single OPC: {}", pct(avg));
     println!("(paper reports +214% on average)");
-    bench::cli::emit_report(&ctx, report.as_deref())
-}
-
-fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::emit_report(&ctx, args.report().as_deref())
 }

@@ -3,26 +3,12 @@
 //! versus re-analyzing the whole circuit, which may surface a new critical
 //! path.
 
+use bench::cli::{self, Args};
 use bench::{benchmark_netlists, fresh_library, pct, ps, row, worst_library};
 use flow::{estimate_guardband, guardband_of_initial_critical_path, FlowError};
 use sta::Constraints;
-use std::process::ExitCode;
 
-const USAGE: &str = "usage: fig5c [--report <path>]
-
-Guardband with vs without critical-path-switch awareness (paper Fig. 5c).
-
-options:
-  --report <path>  write a reliaware-run-v1 JSON run report
-  -h, --help       show this help
-";
-
-fn run() -> Result<(), FlowError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, report) = bench::cli::take_common_flags(&argv)?;
-    if let Some(extra) = rest.first() {
-        return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
-    }
+pub fn run(args: &Args) -> Result<(), FlowError> {
     let ctx = bench::context();
     let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
     let aged = ctx.stage("characterize", || worst_library(&ctx))?;
@@ -57,9 +43,5 @@ fn run() -> Result<(), FlowError> {
     let avg = errors.iter().sum::<f64>() / errors.len() as f64;
     println!("\naverage error from tracking only the initial critical path: {}", pct(avg));
     println!("(paper reports −6% on average, wrong in all circuits)");
-    bench::cli::emit_report(&ctx, report.as_deref())
-}
-
-fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::emit_report(&ctx, args.report().as_deref())
 }

@@ -3,26 +3,12 @@
 //! guardband) versus with the degradation-aware library (aware, with a
 //! contained guardband), plus the area overhead of awareness.
 
+use bench::cli::{self, Args};
 use bench::{aware_netlist, benchmark_netlists, fresh_library, pct, ps, row, worst_library};
 use flow::FlowError;
 use sta::{analyze, Constraints};
-use std::process::ExitCode;
 
-const USAGE: &str = "usage: fig6a [--report <path>]
-
-Guardband containment via aging-aware synthesis (paper Fig. 6a/6b).
-
-options:
-  --report <path>  write a reliaware-run-v1 JSON run report
-  -h, --help       show this help
-";
-
-fn run() -> Result<(), FlowError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, report) = bench::cli::take_common_flags(&argv)?;
-    if let Some(extra) = rest.first() {
-        return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
-    }
+pub fn run(args: &Args) -> Result<(), FlowError> {
     let ctx = bench::context();
     let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
     let aged = ctx.stage("characterize", || worst_library(&ctx))?;
@@ -76,9 +62,5 @@ fn run() -> Result<(), FlowError> {
     }
     let avg_area = overheads.iter().sum::<f64>() / overheads.len() as f64;
     println!("\naverage area overhead: {} (paper reports ~0.2%)", pct(avg_area));
-    bench::cli::emit_report(&ctx, report.as_deref())
-}
-
-fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::emit_report(&ctx, args.report().as_deref())
 }

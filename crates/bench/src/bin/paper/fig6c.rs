@@ -2,33 +2,17 @@
 //! **no guardband**: both the aging-unaware and aging-aware designs run at
 //! the frequency set by the unaware design's fresh critical path.
 //!
-//! Environment: `RELIAWARE_IMG` overrides the image edge length
-//! (default 32).
+//! `--image N` sets the test image edge length (default 32).
 
+use bench::cli::{self, Args};
 use bench::{balanced_library, fresh_library, library_for, worst_library, ImageChain};
 use bti::AgingScenario;
 use flow::FlowError;
-use std::process::ExitCode;
+use std::num::NonZeroUsize;
 
-const USAGE: &str = "usage: fig6c [--report <path>]
-
-PSNR of the DCT→IDCT chain under aging, no guardband (paper Fig. 6c).
-RELIAWARE_IMG overrides the test image edge length (default 32).
-
-options:
-  --report <path>  write a reliaware-run-v1 JSON run report
-  -h, --help       show this help
-";
-
-fn run() -> Result<(), FlowError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, report) = bench::cli::take_common_flags(&argv)?;
-    if let Some(extra) = rest.first() {
-        return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
-    }
+pub fn run(args: &Args) -> Result<(), FlowError> {
+    let size = args.get::<NonZeroUsize>("--image")?.map_or(32, NonZeroUsize::get);
     let ctx = bench::context();
-    let size: usize =
-        std::env::var("RELIAWARE_IMG").ok().and_then(|s| s.parse().ok()).unwrap_or(32);
     let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
     let aged10 = ctx.stage("characterize", || worst_library(&ctx))?;
 
@@ -75,9 +59,5 @@ fn run() -> Result<(), FlowError> {
     println!("\nPaper shape: the unaware design collapses within a year of worst-case");
     println!("aging (9 dB; 19 dB balanced), while the aware design holds unaged");
     println!("quality even after 10 years of worst-case stress.");
-    bench::cli::emit_report(&ctx, report.as_deref())
-}
-
-fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::emit_report(&ctx, args.report().as_deref())
 }

@@ -1,33 +1,20 @@
 //! Fig. 7 — the DCT→IDCT output images themselves: the original, the
 //! aging-unaware design and the aging-aware design after 1 and 10 years,
 //! written as PGM files under `target/fig7/`.
+//!
+//! `--image N` sets the test image edge length (default 48).
 
+use bench::cli::{self, Args};
 use bench::{balanced_library, fresh_library, library_for, worst_library, ImageChain};
 use bti::AgingScenario;
 use flow::FlowError;
 use imgproc::write_pgm;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
-use std::process::ExitCode;
 
-const USAGE: &str = "usage: fig7 [--report <path>]
-
-DCT→IDCT output images under aging, written to target/fig7/ (paper Fig. 7).
-RELIAWARE_IMG overrides the test image edge length (default 48).
-
-options:
-  --report <path>  write a reliaware-run-v1 JSON run report
-  -h, --help       show this help
-";
-
-fn run() -> Result<(), FlowError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, report) = bench::cli::take_common_flags(&argv)?;
-    if let Some(extra) = rest.first() {
-        return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
-    }
+pub fn run(args: &Args) -> Result<(), FlowError> {
+    let size = args.get::<NonZeroUsize>("--image")?.map_or(48, NonZeroUsize::get);
     let ctx = bench::context();
-    let size: usize =
-        std::env::var("RELIAWARE_IMG").ok().and_then(|s| s.parse().ok()).unwrap_or(48);
     let out_dir = PathBuf::from("target/fig7");
     std::fs::create_dir_all(&out_dir).map_err(|e| FlowError::io(out_dir.display(), &e))?;
 
@@ -74,9 +61,5 @@ fn run() -> Result<(), FlowError> {
     }
     println!("\nPaper shape: the reliability-unaware outputs degrade visibly within a");
     println!("year of worst-case aging; the reliability-aware outputs stay clean far longer.");
-    bench::cli::emit_report(&ctx, report.as_deref())
-}
-
-fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::emit_report(&ctx, args.report().as_deref())
 }

@@ -1,26 +1,17 @@
 //! Sec. 3 — how deep in the *fresh* path ranking does the *aged* critical
 //! path hide? Related work tracks the "top x % of critical paths" hoping the
 //! future critical path is among them; the paper argues no practical x is
-//! guaranteed. This binary measures the required rank per benchmark and the
+//! guaranteed. This experiment measures the required rank per benchmark and the
 //! number of paths within the top-5 % delay window, and attributes each aged
 //! critical path's degradation to its single worst-aging arc (per-arc
 //! fresh→aged delta and its share of the whole-path slowdown), plus the
 //! path's lifetime attribution: the smallest static MTTF lower bound among
 //! the instances on the aged critical path and its dominant mechanism.
 
+use bench::cli::{self, Args};
 use bench::{benchmark_netlists, fresh_library, pct, ps, row, worst_library};
 use flow::FlowError;
 use sta::{analyze, evaluate_path_steps_with, k_worst_paths, Constraints, PathSpec};
-use std::process::ExitCode;
-
-const USAGE: &str = "usage: top_paths [--report <path>]
-
-Rank of the aged critical path within the fresh path ordering (Sec. 3).
-
-options:
-  --report <path>  write a reliaware-run-v1 JSON run report
-  -h, --help       show this help
-";
 
 /// Per-arc aging attribution along a path: the arc whose fresh→aged delay
 /// delta is largest, its delta, and that delta's share of the whole-path
@@ -80,12 +71,7 @@ fn signature(nl: &netlist::Netlist, p: &PathSpec) -> String {
         .join("/")
 }
 
-fn run() -> Result<(), FlowError> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, report) = bench::cli::take_common_flags(&argv)?;
-    if let Some(extra) = rest.first() {
-        return Err(FlowError::Usage(format!("unexpected argument `{extra}`")));
-    }
+pub fn run(args: &Args) -> Result<(), FlowError> {
     let ctx = bench::context();
     let fresh = ctx.stage("characterize", || fresh_library(&ctx))?;
     let aged = ctx.stage("characterize", || worst_library(&ctx))?;
@@ -151,9 +137,5 @@ fn run() -> Result<(), FlowError> {
     println!("\nWhere the rank exceeds k, no top-k tracking of fresh paths would have");
     println!("included the path that actually becomes critical — the paper's argument");
     println!("for re-analyzing the whole circuit with the degradation-aware library.");
-    bench::cli::emit_report(&ctx, report.as_deref())
-}
-
-fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::emit_report(&ctx, args.report().as_deref())
 }

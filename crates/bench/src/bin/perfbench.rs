@@ -42,13 +42,17 @@
 //! `--smoke` pins a tiny grid for CI; the default configuration is sized
 //! for a workstation run (a few minutes on one core).
 
+use bench::char_config;
+use bench::cli::{self, Args, Flag};
 use bti::json::Json;
 use bti::{AgingScenario, DutyCycle};
-use flow::{ArcCache, CharConfig, Characterizer, FlowError, RunContext, SurrogateTier};
+use flow::{ArcCache, Characterizer, FlowError, RunContext, SurrogateTier};
 use sta::{analyze, Constraints};
-use std::path::{Path, PathBuf};
+use std::num::{NonZeroU32, NonZeroUsize};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::thread::available_parallelism;
 use std::time::Instant;
 use stdcells::CellSet;
 use synth::test_fixtures::fixture_library;
@@ -74,60 +78,24 @@ struct Options {
     report: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Options, FlowError> {
-    let mut opts = Options {
-        smoke: false,
-        steps: 0,
-        threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-        out_dir: repo_root(),
-        report: None,
-    };
-    let mut steps_set = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--steps" => {
-                opts.steps = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| FlowError::Usage("--steps needs an integer".into()))?;
-                steps_set = true;
-            }
-            "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| FlowError::Usage("--threads needs an integer".into()))?;
-            }
-            "--out" => {
-                opts.out_dir = args
-                    .next()
-                    .map(PathBuf::from)
-                    .ok_or_else(|| FlowError::Usage("--out needs a directory".into()))?;
-            }
-            "--report" => {
-                opts.report = Some(
-                    args.next()
-                        .map(PathBuf::from)
-                        .ok_or_else(|| FlowError::Usage("--report needs a file path".into()))?,
-                );
-            }
-            "-h" | "--help" => return Err(FlowError::Usage(String::new())),
-            other => return Err(FlowError::Usage(format!("unknown argument: {other}"))),
-        }
-    }
-    if !steps_set {
-        opts.steps = if opts.smoke { 1 } else { 10 };
-    }
-    Ok(opts)
-}
+const FLAGS: &[Flag] = &[
+    Flag::switch("--smoke"),
+    Flag::value("--steps"),
+    Flag::value("--threads"),
+    Flag::value("--out"),
+    cli::REPORT,
+];
 
-fn repo_root() -> PathBuf {
-    let mut path = Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf();
-    path.pop(); // crates/
-    path.pop(); // repo root
-    path
+fn options(args: &Args) -> Result<Options, FlowError> {
+    let smoke = args.has("--smoke");
+    let threads = args.get::<NonZeroUsize>("--threads")?.or(available_parallelism().ok());
+    Ok(Options {
+        smoke,
+        steps: args.get::<NonZeroU32>("--steps")?.map_or(if smoke { 1 } else { 10 }, u32::from),
+        threads: threads.map_or(1, usize::from),
+        out_dir: args.get("--out")?.unwrap_or_else(bench::repo_root),
+        report: args.report(),
+    })
 }
 
 fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
@@ -136,22 +104,8 @@ fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
     (r, start.elapsed().as_secs_f64())
 }
 
-fn char_config(opts: &Options, parallelism: usize) -> CharConfig {
-    if opts.smoke {
-        CharConfig {
-            slews: vec![10e-12, 300e-12],
-            loads: vec![1e-15, 10e-15],
-            max_dv: 8e-3,
-            parallelism,
-            ..CharConfig::paper()
-        }
-    } else {
-        CharConfig { parallelism, ..CharConfig::fast() }
-    }
-}
-
-fn run() -> Result<(), FlowError> {
-    let opts = parse_args()?;
+fn run(args: &Args) -> Result<(), FlowError> {
+    let opts = options(args)?;
     let ctx = RunContext::new().with_workers(opts.threads);
     let mut stages: Vec<Json> = Vec::new();
     let lib_cells = if opts.smoke {
@@ -165,20 +119,22 @@ fn run() -> Result<(), FlowError> {
     println!("perfbench: mode={}, steps={}, threads={}", mode(&opts), opts.steps, opts.threads);
 
     // 1. Single-cell characterization.
-    let single =
-        Characterizer::new(CellSet::nangate45_like().subset(&["INV_X1"]), char_config(&opts, 1))?;
+    let single = Characterizer::new(
+        CellSet::nangate45_like().subset(&["INV_X1"]),
+        char_config(opts.smoke, 1),
+    )?;
     let (r, secs) = time(|| single.library(&scenario));
     r?;
     report(&ctx, &mut stages, "characterize_1cell", secs, 1, vec![]);
 
     // 2. One-scenario library: sequential vs. pooled task queue.
     let subset = CellSet::nangate45_like().subset(&lib_cells);
-    let seq = Characterizer::new(subset.clone(), char_config(&opts, 1))?;
+    let seq = Characterizer::new(subset.clone(), char_config(opts.smoke, 1))?;
     let (lib_seq, seq_secs) = time(|| seq.library(&scenario));
     let lib_seq = lib_seq?;
     let cells = lib_cells.len() as u64;
     report(&ctx, &mut stages, "library_seq", seq_secs, cells, vec![("cells", cells.into())]);
-    let par = Characterizer::new(subset, char_config(&opts, opts.threads))?;
+    let par = Characterizer::new(subset, char_config(opts.smoke, opts.threads))?;
     let (lib_par, par_secs) = time(|| par.library(&scenario));
     let lib_par = lib_par?;
     assert_eq!(lib_seq, lib_par, "pooled library must be bit-identical to sequential");
@@ -198,7 +154,7 @@ fn run() -> Result<(), FlowError> {
 
     // 3. Complete λ-grid: sequential vs. pooled (scenario × cell) queue.
     let grid_set = CellSet::nangate45_like().subset(&grid_cells);
-    let grid_seq = Characterizer::new(grid_set.clone(), char_config(&opts, 1))?;
+    let grid_seq = Characterizer::new(grid_set.clone(), char_config(opts.smoke, 1))?;
     let (complete_seq, grid_seq_secs) = time(|| grid_seq.complete_library(opts.steps, 10.0));
     let complete_seq = complete_seq?;
     let scenarios = (opts.steps + 1) * (opts.steps + 1);
@@ -211,7 +167,7 @@ fn run() -> Result<(), FlowError> {
         grid_tasks,
         vec![("scenarios", scenarios.into()), ("cells", grid_cells.len().into())],
     );
-    let grid_par = Characterizer::new(grid_set.clone(), char_config(&opts, opts.threads))?;
+    let grid_par = Characterizer::new(grid_set.clone(), char_config(opts.smoke, opts.threads))?;
     let (complete_par, grid_par_secs) = time(|| grid_par.complete_library(opts.steps, 10.0));
     let complete_par = complete_par?;
     assert_eq!(
@@ -239,7 +195,7 @@ fn run() -> Result<(), FlowError> {
         std::env::temp_dir().join(format!("reliaware_perfbench_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
     let cold_cache = Arc::new(ArcCache::with_dir(&cache_dir));
-    let cold = Characterizer::new(grid_set.clone(), char_config(&opts, opts.threads))?
+    let cold = Characterizer::new(grid_set.clone(), char_config(opts.smoke, opts.threads))?
         .with_cache(Arc::clone(&cold_cache));
     let (complete_cold, cold_secs) = time(|| cold.complete_library(opts.steps, 10.0));
     let complete_cold = complete_cold?;
@@ -253,7 +209,7 @@ fn run() -> Result<(), FlowError> {
         vec![("scenarios", scenarios.into()), ("cache", cache_block(&cold_cache))],
     );
     let warm_cache = Arc::new(ArcCache::with_dir(&cache_dir));
-    let warm = Characterizer::new(grid_set, char_config(&opts, opts.threads))?
+    let warm = Characterizer::new(grid_set, char_config(opts.smoke, opts.threads))?
         .with_cache(Arc::clone(&warm_cache));
     let (complete_warm, warm_secs) = time(|| warm.complete_library(opts.steps, 10.0));
     let complete_warm = complete_warm?;
@@ -521,7 +477,7 @@ fn run() -> Result<(), FlowError> {
         let budget = 0.15;
         let sur_cells = ["INV_X1", "NAND2_X1"];
         let sur_set = CellSet::nangate45_like().subset(&sur_cells);
-        let config = char_config(&opts, opts.threads);
+        let config = char_config(opts.smoke, opts.threads);
 
         let collect = Arc::new(SurrogateTier::new(0.0));
         let trainer = Characterizer::new(sur_set.clone(), config.clone())?
@@ -701,11 +657,11 @@ fn run() -> Result<(), FlowError> {
     let run_path = opts.out_dir.join(format!("RUN_{stamp}.json"));
     ctx.report().write(&run_path)?;
     println!("wrote {}", run_path.display());
-    bench::cli::emit_report(&ctx, opts.report.as_deref())
+    cli::emit_report(&ctx, opts.report.as_deref())
 }
 
 fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::run(USAGE, FLAGS, run)
 }
 
 fn mode(opts: &Options) -> &'static str {

@@ -18,8 +18,11 @@
 //!       [--surrogate-refit-every N]
 //! ```
 
+use bench::cli::{self, Args, Flag};
 use flow::FlowError;
 use serve::{ServeConfig, Server};
+use std::num::NonZeroUsize;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 use stdcells::CellSet;
@@ -43,62 +46,37 @@ options:
   -h, --help                show this help
 ";
 
-fn run() -> Result<(), FlowError> {
-    let mut socket = None;
-    let mut config = ServeConfig::new("");
-    let mut args = std::env::args().skip(1);
-    let int = |args: &mut dyn Iterator<Item = String>, flag: &str| -> Result<usize, FlowError> {
-        args.next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| FlowError::Usage(format!("{flag} needs a positive integer")))
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--socket" => {
-                socket = Some(
-                    args.next().ok_or_else(|| FlowError::Usage("--socket needs a path".into()))?,
-                );
-            }
-            "--threads" => config.workers = int(&mut args, "--threads")?.max(1),
-            "--inflight" => config.max_inflight = int(&mut args, "--inflight")?.max(1),
-            "--shards" => config.shards = int(&mut args, "--shards")?.max(1),
-            "--timeout-ms" => {
-                config.queue_timeout =
-                    Duration::from_millis(int(&mut args, "--timeout-ms")? as u64);
-            }
-            "--cache-dir" => {
-                config.cache_dir = Some(
-                    args.next()
-                        .map(std::path::PathBuf::from)
-                        .ok_or_else(|| FlowError::Usage("--cache-dir needs a directory".into()))?,
-                );
-            }
-            "--surrogate-budget" => {
-                let budget: f64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| FlowError::Usage("--surrogate-budget needs a number".into()))?;
-                if !(budget.is_finite() && budget >= 0.0) {
-                    return Err(FlowError::Usage(format!(
-                        "--surrogate-budget must be finite and non-negative, got {budget}"
-                    )));
-                }
-                config.surrogate_budget = Some(budget);
-            }
-            "--surrogate-model" => {
-                config.surrogate_model =
-                    Some(args.next().map(std::path::PathBuf::from).ok_or_else(|| {
-                        FlowError::Usage("--surrogate-model needs a path".into())
-                    })?);
-            }
-            "--surrogate-refit-every" => {
-                config.surrogate_refit_every = int(&mut args, "--surrogate-refit-every")?;
-            }
-            "-h" | "--help" => return Err(FlowError::Usage(String::new())),
-            other => return Err(FlowError::Usage(format!("unknown argument: {other}"))),
-        }
+const FLAGS: &[Flag] = &[
+    Flag::value("--socket"),
+    Flag::value("--threads"),
+    Flag::value("--inflight"),
+    Flag::value("--shards"),
+    Flag::value("--timeout-ms"),
+    Flag::value("--cache-dir"),
+    Flag::value("--surrogate-budget"),
+    Flag::value("--surrogate-model"),
+    Flag::value("--surrogate-refit-every"),
+];
+
+fn run(args: &Args) -> Result<(), FlowError> {
+    let socket: PathBuf =
+        args.get("--socket")?.ok_or_else(|| FlowError::Usage("--socket is required".into()))?;
+    let mut config = ServeConfig::new(socket);
+    let count = |flag: &str| Ok::<_, FlowError>(args.get::<NonZeroUsize>(flag)?.map(usize::from));
+    config.workers = count("--threads")?.unwrap_or(config.workers);
+    config.max_inflight = count("--inflight")?.unwrap_or(config.max_inflight);
+    config.shards = count("--shards")?.unwrap_or(config.shards);
+    if let Some(ms) = args.get("--timeout-ms")? {
+        config.queue_timeout = Duration::from_millis(ms);
     }
-    config.socket = socket.ok_or_else(|| FlowError::Usage("--socket is required".into()))?.into();
+    config.cache_dir = args.get("--cache-dir")?;
+    config.surrogate_budget = args.get::<f64>("--surrogate-budget")?;
+    if let Some(budget) = config.surrogate_budget.filter(|b| !(b.is_finite() && *b >= 0.0)) {
+        return Err(cli::invalid("--surrogate-budget", budget, "must be finite and non-negative"));
+    }
+    config.surrogate_model = args.get("--surrogate-model")?;
+    config.surrogate_refit_every =
+        args.get("--surrogate-refit-every")?.unwrap_or(config.surrogate_refit_every);
 
     let server = Server::bind(config, CellSet::nangate45_like())?;
     eprintln!("serve: listening on {}", server.socket().display());
@@ -107,5 +85,5 @@ fn run() -> Result<(), FlowError> {
 }
 
 fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::run(USAGE, FLAGS, run)
 }

@@ -21,12 +21,15 @@
 //! Point `--cache-dir` at a warm arc cache (e.g. the serve daemon's) and
 //! the grid pass replays from disk instead of re-simulating.
 
+use bench::cli::{self, Args, Flag};
 use bti::json::Json;
 use bti::{AgingScenario, DutyCycle};
-use flow::{ArcCache, CharConfig, Characterizer, FlowError, SurrogateTier};
+use flow::{ArcCache, Characterizer, FlowError, SurrogateTier};
+use std::num::{NonZeroU32, NonZeroUsize};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::thread::available_parallelism;
 use std::time::Instant;
 use stdcells::CellSet;
 
@@ -61,96 +64,52 @@ struct Options {
     cache_dir: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Options, FlowError> {
-    let mut model = None;
-    let mut opts = Options {
-        model: PathBuf::new(),
-        metrics: None,
-        smoke: false,
-        steps: 0,
-        cells: vec!["INV_X1".into(), "NAND2_X1".into()],
-        threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-        budget: 0.05,
-        cache_dir: None,
-    };
-    let mut steps_set = false;
-    let mut args = std::env::args().skip(1);
-    let path = |args: &mut dyn Iterator<Item = String>, flag: &str| -> Result<PathBuf, FlowError> {
-        args.next()
-            .map(PathBuf::from)
-            .ok_or_else(|| FlowError::Usage(format!("{flag} needs a path")))
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--model" => model = Some(path(&mut args, "--model")?),
-            "--metrics" => opts.metrics = Some(path(&mut args, "--metrics")?),
-            "--smoke" => opts.smoke = true,
-            "--steps" => {
-                opts.steps = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| FlowError::Usage("--steps needs an integer".into()))?;
-                steps_set = true;
-            }
-            "--cells" => {
-                let list = args
-                    .next()
-                    .ok_or_else(|| FlowError::Usage("--cells needs a comma list".into()))?;
-                opts.cells = list.split(',').map(|c| c.trim().to_string()).collect();
-            }
-            "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| FlowError::Usage("--threads needs an integer".into()))?;
-            }
-            "--budget" => {
-                let budget: f64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| FlowError::Usage("--budget needs a number".into()))?;
-                if !(budget.is_finite() && budget > 0.0) {
-                    return Err(FlowError::Usage(format!(
-                        "--budget must be finite and positive, got {budget}"
-                    )));
-                }
-                opts.budget = budget;
-            }
-            "--cache-dir" => opts.cache_dir = Some(path(&mut args, "--cache-dir")?),
-            "-h" | "--help" => return Err(FlowError::Usage(String::new())),
-            other => return Err(FlowError::Usage(format!("unknown argument: {other}"))),
-        }
+const FLAGS: &[Flag] = &[
+    Flag::value("--model"),
+    Flag::value("--metrics"),
+    Flag::switch("--smoke"),
+    Flag::value("--steps"),
+    Flag::value("--cells"),
+    Flag::value("--threads"),
+    Flag::value("--budget"),
+    Flag::value("--cache-dir"),
+];
+
+fn options(args: &Args) -> Result<Options, FlowError> {
+    let smoke = args.has("--smoke");
+    let model =
+        args.get("--model")?.ok_or_else(|| FlowError::Usage("--model is required".into()))?;
+    let cells = args.get::<String>("--cells")?.map_or_else(
+        || vec!["INV_X1".into(), "NAND2_X1".into()],
+        |list| list.split(',').map(|c| c.trim().to_string()).collect(),
+    );
+    let threads = args.get::<NonZeroUsize>("--threads")?.or(available_parallelism().ok());
+    let budget = args.get::<f64>("--budget")?.unwrap_or(0.05);
+    if !(budget.is_finite() && budget > 0.0) {
+        return Err(cli::invalid("--budget", budget, "must be finite and positive"));
     }
-    opts.model = model.ok_or_else(|| FlowError::Usage("--model is required".into()))?;
     // The degree-2 polynomial basis needs a dense enough λ grid to pin the
     // off-grid behavior down: 2 steps (9 scenarios) leaves the fit
     // underdetermined and held-out error an order of magnitude over budget,
     // 4 steps (25 scenarios) brings it safely under.
-    if !steps_set {
-        opts.steps = if opts.smoke { 4 } else { 6 };
-    }
-    Ok(opts)
+    let steps = args.get::<NonZeroU32>("--steps")?.map_or(if smoke { 4 } else { 6 }, u32::from);
+    Ok(Options {
+        model,
+        metrics: args.get("--metrics")?,
+        smoke,
+        steps,
+        cells,
+        threads: threads.map_or(1, usize::from),
+        budget,
+        cache_dir: args.get("--cache-dir")?,
+    })
 }
 
-fn char_config(opts: &Options) -> CharConfig {
-    if opts.smoke {
-        CharConfig {
-            slews: vec![10e-12, 300e-12],
-            loads: vec![1e-15, 10e-15],
-            max_dv: 8e-3,
-            parallelism: opts.threads,
-            ..CharConfig::paper()
-        }
-    } else {
-        CharConfig { parallelism: opts.threads, ..CharConfig::fast() }
-    }
-}
-
-fn run() -> Result<(), FlowError> {
-    let opts = parse_args()?;
+fn run(args: &Args) -> Result<(), FlowError> {
+    let opts = options(args)?;
     let cells: Vec<&str> = opts.cells.iter().map(String::as_str).collect();
     let set = CellSet::nangate45_like().subset(&cells);
-    let config = char_config(&opts);
+    let config = bench::char_config(opts.smoke, opts.threads);
     println!(
         "surrogate_train: mode={}, steps={}, cells={}, budget={}",
         if opts.smoke { "smoke" } else { "full" },
@@ -283,7 +242,7 @@ fn metrics_record(
 }
 
 fn main() -> ExitCode {
-    bench::cli::run(USAGE, run)
+    cli::run(USAGE, FLAGS, run)
 }
 
 #[cfg(test)]

@@ -1,20 +1,22 @@
-//! Shared harness for the figure-regeneration binaries and Criterion
-//! benches: the run context with its disk arc cache, characterized
-//! libraries, synthesized benchmark netlists and table printing.
+//! Shared harness for the bench binaries and Criterion benches: the run
+//! context with its disk arc cache, characterized libraries, synthesized
+//! benchmark netlists, table printing and the one CLI parser ([`cli`]).
 //!
-//! Every binary in `src/bin/` regenerates one figure of the paper (see
-//! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for recorded
-//! results). Both expensive artifacts are cached under [`cache_dir`]:
-//! characterized libraries as the per-arc entries of the [`context`]'s
-//! [`ArcCache`], mapped netlists as Verilog text named by the content digest
-//! of the libraries they were mapped against. Repeated runs are fast and
-//! the artifacts stay inspectable.
+//! Every experiment of the `paper` binary (`src/bin/paper/`) regenerates
+//! one figure or study of the paper (see `DESIGN.md` for the experiment
+//! index and `EXPERIMENTS.md` for recorded results). Both expensive
+//! artifacts are cached under [`cache_dir`]: characterized libraries as the
+//! per-arc entries of the [`context`]'s [`ArcCache`], mapped netlists as
+//! Verilog text named by the content digest of the libraries they were
+//! mapped against. Repeated runs are fast and the artifacts stay
+//! inspectable.
 
 use bti::AgingScenario;
 use flow::{ArcCache, CharConfig, Characterizer, FlowError, KeyHasher, RunContext};
 use liberty::{write_library, Library};
 use netlist::verilog::{parse_verilog, write_verilog};
 use netlist::Netlist;
+use std::fmt::Display;
 use std::path::PathBuf;
 use std::sync::Arc;
 use stdcells::CellSet;
@@ -32,9 +34,9 @@ pub fn cache_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("target/reliaware-cache"))
 }
 
-/// The run context of a figure binary: the machine's worker count and an
-/// [`ArcCache`] persisted under [`cache_dir`], shared by every library the
-/// run characterizes.
+/// The run context of a `paper` experiment: the machine's worker count and
+/// an [`ArcCache`] persisted under [`cache_dir`], shared by every library
+/// the run characterizes.
 #[must_use]
 pub fn context() -> Arc<RunContext> {
     Arc::new(RunContext::new().with_cache(Arc::new(ArcCache::with_dir(cache_dir()))))
@@ -277,18 +279,73 @@ impl ImageChain {
 /// Resolves a CLI `--design` name to a benchmark generator. Accepts the
 /// paper names case-insensitively plus the short aliases used by CI:
 /// `dct`, `idct`, `fft`, `dsp`, `risc` (the 5-stage slice), `risc6`, `vliw`.
+///
+/// # Errors
+///
+/// Returns a [`FlowError::Usage`] naming any other design.
+pub fn design_by_name(name: &str) -> Result<circuits::Design, FlowError> {
+    Ok(match name.to_ascii_lowercase().as_str() {
+        "dct" => circuits::dct8(),
+        "idct" => circuits::idct8(),
+        "fft" => circuits::fft_butterflies(),
+        "dsp" => circuits::dsp_fir(),
+        "risc" | "risc5" | "risc-5p" => circuits::risc_5p(),
+        "risc6" | "risc-6p" => circuits::risc_6p(),
+        "vliw" => circuits::vliw(),
+        _ => return Err(FlowError::Usage(format!("unknown design {name}"))),
+    })
+}
+
+/// Reads and parses the Liberty library at `path`.
+///
+/// # Errors
+///
+/// Returns [`FlowError::Io`] when the file cannot be read or parsed.
+pub fn load_library(path: &str) -> Result<Library, FlowError> {
+    load(path, liberty::parse_library)
+}
+
+/// Reads and parses the structural-Verilog netlist at `path`.
+///
+/// # Errors
+///
+/// Returns [`FlowError::Io`] when the file cannot be read or parsed.
+pub fn load_netlist(path: &str) -> Result<Netlist, FlowError> {
+    load(path, parse_verilog)
+}
+
+fn load<T, E: Display>(path: &str, parse: fn(&str) -> Result<T, E>) -> Result<T, FlowError> {
+    let text = std::fs::read_to_string(path).map_err(|e| FlowError::io(path, &e))?;
+    parse(&text)
+        .map_err(|e| FlowError::Io { path: path.to_owned(), message: format!("cannot parse: {e}") })
+}
+
+/// The characterization config of `perfbench` and `surrogate_train` at
+/// `parallelism` workers: with `smoke`, the paper config on a pinned 2×2
+/// OPC grid, else [`CharConfig::fast`].
 #[must_use]
-pub fn design_by_name(name: &str) -> Option<circuits::Design> {
-    match name.to_ascii_lowercase().as_str() {
-        "dct" => Some(circuits::dct8()),
-        "idct" => Some(circuits::idct8()),
-        "fft" => Some(circuits::fft_butterflies()),
-        "dsp" => Some(circuits::dsp_fir()),
-        "risc" | "risc5" | "risc-5p" => Some(circuits::risc_5p()),
-        "risc6" | "risc-6p" => Some(circuits::risc_6p()),
-        "vliw" => Some(circuits::vliw()),
-        _ => None,
+pub fn char_config(smoke: bool, parallelism: usize) -> CharConfig {
+    if smoke {
+        CharConfig {
+            slews: vec![10e-12, 300e-12],
+            loads: vec![1e-15, 10e-15],
+            max_dv: 8e-3,
+            parallelism,
+            ..CharConfig::paper()
+        }
+    } else {
+        CharConfig { parallelism, ..CharConfig::fast() }
     }
+}
+
+/// The repository root: where perfbench and loadgen write their records
+/// by default.
+#[must_use]
+pub fn repo_root() -> PathBuf {
+    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    path.pop(); // crates/
+    path.pop(); // the repository root
+    path
 }
 
 /// A λ-indexed complete library derived from `base`: every cell is cloned
@@ -369,6 +426,16 @@ pub fn ps(seconds: f64) -> String {
 #[must_use]
 pub fn pct(ratio: f64) -> String {
     format!("{:+.1}%", ratio * 100.0)
+}
+
+/// Formats a lifetime in years with one decimal, or `>1e7` when unbounded.
+#[must_use]
+pub fn years(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.1}")
+    } else {
+        ">1e7".to_owned()
+    }
 }
 
 #[cfg(test)]

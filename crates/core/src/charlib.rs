@@ -339,9 +339,15 @@ impl Characterizer {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`CharError`] (in task order) from the pooled
-    /// cell characterizations.
+    /// Returns [`CharError::InvalidConfig`] for `steps == 0` (a grid needs
+    /// at least one interval), and otherwise propagates the first
+    /// [`CharError`] (in task order) from the pooled cell characterizations.
     pub fn complete_library(&self, steps: u32, years: f64) -> Result<Library, CharError> {
+        if steps == 0 {
+            return Err(CharError::InvalidConfig {
+                message: "the λ grid needs at least one interval, got steps = 0".into(),
+            });
+        }
         let scenarios = AgingScenario::grid(steps, years);
         let defs: Vec<&CellDef> = self.cells.iter().collect();
         let models: Vec<(LambdaTag, String, MosModel, MosModel, f64)> = scenarios

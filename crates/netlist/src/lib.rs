@@ -116,6 +116,14 @@ impl Instance {
     }
 }
 
+/// The driver of a net as [`Netlist::validate`] records it: an index into
+/// the ports or the instances.
+#[derive(Debug, Clone, Copy)]
+enum Driver {
+    Port(usize),
+    Instance(usize),
+}
+
 /// A flat gate-level module.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Netlist {
@@ -312,13 +320,15 @@ impl Netlist {
     ///
     /// Returns the first [`NetlistError`] found.
     pub fn validate(&self, library: &Library) -> Result<(), NetlistError> {
-        let mut drivers: Vec<Option<String>> = vec![None; self.net_names.len()];
-        for port in &self.ports {
+        // Each net's driver as a port or instance index; a name is
+        // formatted only for the error.
+        let mut drivers: Vec<Option<Driver>> = vec![None; self.net_names.len()];
+        for (k, port) in self.ports.iter().enumerate() {
             if port.dir == PortDir::Input {
-                drivers[port.net.0] = Some(format!("port {}", port.name));
+                drivers[port.net.0] = Some(Driver::Port(k));
             }
         }
-        for inst in &self.instances {
+        for (k, inst) in self.instances.iter().enumerate() {
             let cell = library.cell(&inst.cell).ok_or_else(|| NetlistError::UnknownCell {
                 instance: inst.name.clone(),
                 cell: inst.cell.clone(),
@@ -334,14 +344,18 @@ impl Netlist {
                     });
                 }
                 if is_output {
-                    if let Some(prev) = &drivers[net.0] {
+                    if let Some(prev) = drivers[net.0] {
+                        let first = match prev {
+                            Driver::Port(p) => format!("port {}", self.ports[p].name),
+                            Driver::Instance(i) => self.instances[i].name.clone(),
+                        };
                         return Err(NetlistError::MultipleDrivers {
                             net: self.net_name(*net).to_owned(),
-                            first: prev.clone(),
+                            first,
                             second: inst.name.clone(),
                         });
                     }
-                    drivers[net.0] = Some(inst.name.clone());
+                    drivers[net.0] = Some(Driver::Instance(k));
                 }
             }
             for input in &cell.inputs {
@@ -480,7 +494,21 @@ mod tests {
         let y = nl.add_port("y", PortDir::Output);
         nl.add_instance("u0", "INV_X1", &[("A", a), ("Y", y)]);
         nl.add_instance("u1", "INV_X1", &[("A", a), ("Y", y)]);
-        assert!(matches!(nl.validate(&tiny_library()), Err(NetlistError::MultipleDrivers { .. })));
+        assert!(matches!(
+            nl.validate(&tiny_library()),
+            Err(NetlistError::MultipleDrivers { net, first, second })
+                if net == "y" && first == "u0" && second == "u1"
+        ));
+
+        let mut nl = Netlist::new("m");
+        let a = nl.add_port("a", PortDir::Input);
+        let b = nl.add_port("b", PortDir::Input);
+        nl.add_instance("u0", "INV_X1", &[("A", b), ("Y", a)]);
+        assert!(matches!(
+            nl.validate(&tiny_library()),
+            Err(NetlistError::MultipleDrivers { net, first, second })
+                if net == "a" && first == "port a" && second == "u0"
+        ));
     }
 
     #[test]

@@ -133,7 +133,9 @@ pub fn evaluate_path_steps(
 /// delay — the property the `PT` path rules rely on when comparing
 /// per-path aged delays against a design-level bound.
 ///
-/// `report` must come from analyzing the same `netlist`/`library` pair.
+/// `report` must come from analyzing the same `netlist`, `library` and
+/// `constraints`: each step's output load is read from it
+/// ([`TimingReport::load`]) rather than summed again.
 ///
 /// # Errors
 ///
@@ -146,12 +148,8 @@ pub fn evaluate_path_steps_with(
     report: &TimingReport,
     path: &PathSpec,
 ) -> Result<Vec<f64>, StaError> {
-    let sinks = netlist.sinks(library)?;
-    let output_load = constraints.output_load.unwrap_or(library.default_output_load);
     let input_slew = constraints.input_slew.unwrap_or(library.default_input_slew);
     let mut delays = Vec::with_capacity(path.steps.len());
-    let output_nets: std::collections::HashSet<NetId> = netlist.output_nets().collect();
-
     for step in &path.steps {
         let inst = netlist.instance(step.inst);
         let cell = library.cell(&inst.cell).ok_or_else(|| {
@@ -177,8 +175,7 @@ pub fn evaluate_path_steps_with(
         } else {
             report.slew_edge(in_net, step.input_rising)
         };
-        let load = net_load(library, &sinks, netlist, out_net, &output_nets, output_load);
-        delays.push(arc.delay(step.output_rising, slew, load));
+        delays.push(arc.delay(step.output_rising, slew, report.load(out_net)));
     }
     Ok(delays)
 }

@@ -106,6 +106,15 @@ fn characterizer_validates_its_config() {
 }
 
 #[test]
+fn complete_library_rejects_an_empty_grid() {
+    let chars = Characterizer::new(CellSet::minimal(), CharConfig::fast()).unwrap();
+    match chars.complete_library(0, 10.0) {
+        Err(CharError::InvalidConfig { message }) => assert!(message.contains("steps")),
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+}
+
+#[test]
 fn characterizer_rejects_an_empty_cell_set() {
     let none = CellSet::nangate45_like().subset(&[]);
     assert!(matches!(Characterizer::new(none, CharConfig::fast()), Err(CharError::EmptyCellSet)));
