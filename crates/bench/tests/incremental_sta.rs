@@ -55,7 +55,9 @@ fn drive(design: &str, seed: u64, changes: usize) {
     let annotated = netlist::annotate::annotated_with_static(&nl, tag0);
     let constraints = Constraints::default();
 
-    let mut inc = IncrementalSta::new(&annotated, &complete, &constraints).expect("initial build");
+    let mut working = annotated.clone();
+    let mut inc =
+        IncrementalSta::new(&mut working, &complete, &constraints).expect("initial build");
     let mut rng = Lcg(seed);
     let ids: Vec<netlist::InstId> = annotated.instance_ids().collect();
 

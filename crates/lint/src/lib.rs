@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! **relialint** — rule-based static analysis for the reliability-aware
 //! design flow.
 //!

@@ -127,31 +127,6 @@ impl ActivityStats {
         let q = |x: f64| (x * f64::from(steps)).round() / f64::from(steps);
         Some(LambdaTag { lambda_pmos: q(worst_p), lambda_nmos: q(worst_n) })
     }
-
-    /// Dynamic-switching energy proxy for the run: `Σ_nets toggles · C_net`
-    /// (in farad-toggles; multiply by `Vdd²/2` for joules). Loads come from
-    /// the sink input capacitances plus the library wire model — a standard
-    /// activity-based power estimate, useful to compare workloads.
-    #[must_use]
-    pub fn switching_energy_proxy(&self, netlist: &Netlist, library: &liberty::Library) -> f64 {
-        let Ok(sinks) = netlist.sinks(library) else { return 0.0 };
-        let mut total = 0.0;
-        for k in 0..self.toggles.len() {
-            let net = NetId::from_index(k);
-            let mut cap = 0.0;
-            if let Some(pins) = sinks.get(&net) {
-                for (inst, pin) in pins {
-                    if let Some(c) =
-                        library.cell(&netlist.instance(*inst).cell).and_then(|c| c.input_cap(pin))
-                    {
-                        cap += c + library.wire_cap_per_fanout;
-                    }
-                }
-            }
-            total += self.toggles[k] as f64 * cap;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -234,26 +209,5 @@ mod tests {
         assert!((worst.lambda_pmos - 1.0).abs() < 1e-9, "worst pMOS from the low pin");
         assert!(worst.lambda_nmos >= avg.lambda_nmos);
         assert!(worst.lambda_pmos >= avg.lambda_pmos);
-    }
-
-    #[test]
-    fn switching_energy_counts_toggles() {
-        use liberty::{Cell, Library};
-        use netlist::PortDir;
-        let mut lib = Library::new("l", 1.2);
-        lib.add_cell(Cell::test_inverter("INV_X1"));
-        let mut nl = Netlist::new("m");
-        let a = nl.add_port("a", PortDir::Input);
-        let y = nl.add_port("y", PortDir::Output);
-        nl.add_instance("u", "INV_X1", &[("A", a), ("Y", y)]);
-        // Toggling input: 3 toggles on `a`, 3 on `y`.
-        let vectors = vec![vec![false], vec![true], vec![false], vec![true]];
-        let run = crate::run_cycles(&nl, &lib, None, &vectors).unwrap();
-        let busy = run.activity.switching_energy_proxy(&nl, &lib);
-        // Constant input: zero switching.
-        let quiet = crate::run_cycles(&nl, &lib, None, &vec![vec![true]; 4]).unwrap();
-        let idle = quiet.activity.switching_energy_proxy(&nl, &lib);
-        assert!(busy > 0.0);
-        assert_eq!(idle, 0.0);
     }
 }

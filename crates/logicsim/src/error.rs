@@ -70,7 +70,12 @@ impl Error for SimError {
 
 impl From<NetlistError> for SimError {
     fn from(e: NetlistError) -> Self {
-        SimError::Netlist(e)
+        match e {
+            NetlistError::CombinationalLoop { instance } => {
+                SimError::CombinationalLoop { instance }
+            }
+            e => SimError::Netlist(e),
+        }
     }
 }
 

@@ -2,9 +2,7 @@
 //! evaluated in O(1) per event.
 
 use crate::SimError;
-use liberty::{CellClass, Library};
-use std::collections::HashMap;
-use std::sync::Arc;
+use liberty::{Cell, CellClass};
 
 /// A cell compiled for simulation.
 #[derive(Debug, Clone)]
@@ -14,11 +12,30 @@ pub(crate) struct CompiledCell {
     /// `(output pin, truth table words)` — bit `r` of word `r/64` is the
     /// output value for input row `r`.
     pub outputs: Vec<(String, Vec<u64>)>,
-    /// `Some((clock pin, data pin))` for flip-flops.
-    pub flop: Option<(String, String)>,
+    /// For flip-flops: the clock pin and the input position of the data
+    /// pin.
+    pub flop: Option<(String, Option<usize>)>,
 }
 
 impl CompiledCell {
+    /// Compiles `cell`'s output functions into truth tables.
+    pub fn compile(cell: &Cell) -> Result<Self, SimError> {
+        let inputs: Vec<String> = cell.inputs.iter().map(|p| p.name.clone()).collect();
+        if inputs.len() > 16 {
+            return Err(SimError::TooManyInputs { cell: cell.name.clone(), inputs: inputs.len() });
+        }
+        let names: Vec<&str> = inputs.iter().map(String::as_str).collect();
+        let outputs =
+            cell.outputs.iter().map(|o| (o.name.clone(), o.function.truth_table(&names))).collect();
+        let flop = match &cell.class {
+            CellClass::Flop { clock, data, .. } => {
+                Some((clock.clone(), inputs.iter().position(|p| p == data)))
+            }
+            CellClass::Combinational => None,
+        };
+        Ok(CompiledCell { inputs, outputs, flop })
+    }
+
     /// Evaluates output `index` for the packed input `row`.
     #[inline]
     pub fn eval(&self, index: usize, row: usize) -> bool {
@@ -27,50 +44,13 @@ impl CompiledCell {
     }
 }
 
-/// All cells of a library, compiled once and shared by their instances.
-#[derive(Debug, Clone)]
-pub(crate) struct CompiledLib {
-    pub cells: HashMap<String, Arc<CompiledCell>>,
-}
-
-impl CompiledLib {
-    pub fn compile(library: &Library) -> Result<Self, SimError> {
-        let mut cells = HashMap::with_capacity(library.len());
-        for cell in library.cells() {
-            let inputs: Vec<String> = cell.inputs.iter().map(|p| p.name.clone()).collect();
-            if inputs.len() > 16 {
-                return Err(SimError::TooManyInputs {
-                    cell: cell.name.clone(),
-                    inputs: inputs.len(),
-                });
-            }
-            let names: Vec<&str> = inputs.iter().map(String::as_str).collect();
-            let outputs = cell
-                .outputs
-                .iter()
-                .map(|o| (o.name.clone(), o.function.truth_table(&names)))
-                .collect();
-            let flop = match &cell.class {
-                CellClass::Flop { clock, data, .. } => Some((clock.clone(), data.clone())),
-                CellClass::Combinational => None,
-            };
-            cells.insert(cell.name.clone(), Arc::new(CompiledCell { inputs, outputs, flop }));
-        }
-        Ok(CompiledLib { cells })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use liberty::Cell;
 
     #[test]
     fn inverter_compiles() {
-        let mut lib = Library::new("l", 1.2);
-        lib.add_cell(Cell::test_inverter("INV_X1"));
-        let compiled = CompiledLib::compile(&lib).unwrap();
-        let inv = &compiled.cells["INV_X1"];
+        let inv = CompiledCell::compile(&Cell::test_inverter("INV_X1")).unwrap();
         assert_eq!(inv.inputs, vec!["A".to_owned()]);
         assert!(inv.eval(0, 0), "INV(0) = 1");
         assert!(!inv.eval(0, 1), "INV(1) = 0");

@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! Gate-level logic and timing simulation.
 //!
 //! This crate covers both roles `ModelSim` plays in the paper:

@@ -51,15 +51,18 @@ impl PartialOrd for Event {
 /// A netlist compiled once for event-driven timing simulation under one
 /// delay annotation.
 ///
-/// [`TimedSim::new`] validates the netlist, compiles its cells, orders its
-/// combinational logic, settles the initial state and resolves every arc
-/// delay of the annotation into a dense per-instance table, so
+/// [`TimedSim::new`] binds the netlist to its library, compiles the cells it
+/// uses, settles the initial state and resolves every arc delay of the
+/// annotation into a dense per-instance table, so
 /// [`TimedSim::run`] looks up no names. Every run resets all per-run state,
 /// so runs on one `TimedSim` give exactly what fresh [`run_timed`] calls
 /// give.
 #[derive(Debug, Clone)]
 pub struct TimedSim {
     s: SimStructure,
+    /// Per net: its combinational sinks as `(instance, input position)`, in
+    /// instance and position order. Flops sample only at the clock edge.
+    net_sinks: Vec<Vec<(InstId, usize)>>,
     /// Per instance: index of its first entry in `arcs`. A combinational
     /// instance has one row per input position, a flop one clk→Q row; each
     /// row holds one entry per output position.
@@ -87,17 +90,22 @@ impl TimedSim {
         clock_port: Option<&str>,
     ) -> Result<Self, SimError> {
         let s = SimStructure::build(netlist, library, clock_port)?;
-        let mut arc_base = Vec::with_capacity(s.insts.len());
+        let mut net_sinks = vec![Vec::new(); s.n_nets];
+        let mut arc_base = Vec::with_capacity(s.cells.len());
         let mut arcs = Vec::new();
-        for (k, inst) in s.insts.iter().enumerate() {
+        for (id, cell) in netlist.instance_ids().zip(&s.cells) {
             arc_base.push(arcs.len());
-            let id = InstId::from_index(k);
-            let rows: &[String] = match &inst.cell.flop {
+            let rows: &[String] = match &cell.flop {
                 Some((clock, _)) => std::slice::from_ref(clock),
-                None => &inst.cell.inputs,
+                None => {
+                    for (pos, net) in s.bound.input_nets(id).enumerate() {
+                        net_sinks[net.index()].push((id, pos));
+                    }
+                    &cell.inputs
+                }
             };
             for from in rows {
-                for (to, _) in &inst.cell.outputs {
+                for (to, _) in &cell.outputs {
                     arcs.push(
                         delays.get(id, from, to).unwrap_or(ArcDelays { rise: 0.0, fall: 0.0 }),
                     );
@@ -107,16 +115,10 @@ impl TimedSim {
         // Settle the initial state with zero delays so event propagation
         // starts from a consistent network.
         let mut settled = vec![false; s.n_nets];
-        for &k in &s.comb_order {
-            let row = s.input_row(k, &settled);
-            let inst = &s.insts[k];
-            for (o, net) in inst.output_nets.iter().enumerate() {
-                if let Some(net) = net {
-                    settled[net.index()] = inst.cell.eval(o, row);
-                }
-            }
+        for k in s.comb_order() {
+            s.settle(k, &mut settled);
         }
-        Ok(TimedSim { s, arc_base, arcs, settled })
+        Ok(TimedSim { s, net_sinks, arc_base, arcs, settled })
     }
 
     /// The delay of instance `k`'s arc from row `row` (input position, or
@@ -124,7 +126,7 @@ impl TimedSim {
     /// falling output.
     #[inline]
     fn delay(&self, k: usize, row: usize, o: usize, rising: bool) -> f64 {
-        let arc = self.arcs[self.arc_base[k] + row * self.s.insts[k].output_nets.len() + o];
+        let arc = self.arcs[self.arc_base[k] + row * self.s.cells[k].outputs.len() + o];
         if rising {
             arc.rise
         } else {
@@ -158,7 +160,7 @@ impl TimedSim {
         // net (by `seq`, 0 = none yet) invalidates all earlier pending ones
         // (narrow pulses are swallowed).
         let mut latest = vec![0u64; s.n_nets];
-        let mut flop_state = vec![false; s.flops.len()];
+        let mut flop_state = vec![false; s.flops().len()];
         let mut outputs = Vec::with_capacity(vectors.len());
         let mut late_events = 0usize;
 
@@ -187,13 +189,13 @@ impl TimedSim {
                 }
             }
             // Flops drive captured state after clk→Q.
-            for (fi, &k) in s.flops.iter().enumerate() {
-                for (o, net) in s.insts[k].output_nets.iter().enumerate() {
+            for (fi, k) in s.flops().enumerate() {
+                for (o, net) in s.bound.output_nets(k).enumerate() {
                     let Some(net) = net else { continue };
                     let v = flop_state[fi];
                     if target[net.index()] != v {
                         target[net.index()] = v;
-                        let d = self.delay(k, 0, o, v);
+                        let d = self.delay(k.index(), 0, o, v);
                         schedule(&mut queue, &mut latest, t_edge + d, net.index(), v);
                     }
                 }
@@ -209,18 +211,15 @@ impl TimedSim {
                 // An instance with several inputs on this net is listed
                 // once per input, in position order: the first listing
                 // schedules, so the delay is that of the first such pin.
-                for &(k, pos) in &s.net_sinks[e.net] {
-                    let inst = &s.insts[k];
-                    if inst.is_flop {
-                        continue; // flops sample only at the clock edge
-                    }
+                for &(k, pos) in &self.net_sinks[e.net] {
                     let row = s.input_row(k, &value);
-                    for (o, out_net) in inst.output_nets.iter().enumerate() {
+                    let cell = &s.cells[k.index()];
+                    for (o, out_net) in s.bound.output_nets(k).enumerate() {
                         let Some(out_net) = out_net else { continue };
-                        let new = inst.cell.eval(o, row);
+                        let new = cell.eval(o, row);
                         if target[out_net.index()] != new {
                             target[out_net.index()] = new;
-                            let d = self.delay(k, pos, o, new);
+                            let d = self.delay(k.index(), pos, o, new);
                             schedule(&mut queue, &mut latest, e.time + d, out_net.index(), new);
                         }
                     }
@@ -233,9 +232,9 @@ impl TimedSim {
 
             // Sample primary outputs and capture flop data at the edge.
             outputs.push(s.outputs.iter().map(|n| value[n.index()]).collect());
-            for (fi, &k) in s.flops.iter().enumerate() {
-                if let Some(pos) = s.insts[k].data_pos {
-                    flop_state[fi] = value[s.insts[k].input_nets[pos].index()];
+            for (fi, k) in s.flops().enumerate() {
+                if let Some(v) = s.captured(k, &value) {
+                    flop_state[fi] = v;
                 }
             }
         }

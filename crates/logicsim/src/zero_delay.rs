@@ -39,7 +39,7 @@ pub fn run_cycles(
     let mut activity = ActivityStats::new(s.n_nets, s.clock_net);
     let mut outputs = Vec::with_capacity(vectors.len());
     // Flop internal state, by position in s.flops.
-    let mut flop_state = vec![false; s.flops.len()];
+    let mut flop_state = vec![false; s.flops().len()];
 
     for vector in vectors {
         if vector.len() != s.inputs.len() {
@@ -49,27 +49,21 @@ pub fn run_cycles(
             values[net.index()] = v;
         }
         // Flop outputs present their captured state.
-        for (fi, &k) in s.flops.iter().enumerate() {
-            for net in s.insts[k].output_nets.iter().flatten() {
+        for (fi, k) in s.flops().enumerate() {
+            for net in s.bound.output_nets(k).flatten() {
                 values[net.index()] = flop_state[fi];
             }
         }
         // Combinational settle in topological order.
-        for &k in &s.comb_order {
-            let row = s.input_row(k, &values);
-            let inst = &s.insts[k];
-            for (o, net) in inst.output_nets.iter().enumerate() {
-                if let Some(net) = net {
-                    values[net.index()] = inst.cell.eval(o, row);
-                }
-            }
+        for k in s.comb_order() {
+            s.settle(k, &mut values);
         }
         outputs.push(s.outputs.iter().map(|n| values[n.index()]).collect());
         activity.record(&values, previous.as_deref());
         // Capture for the next cycle.
-        for (fi, &k) in s.flops.iter().enumerate() {
-            if let Some(pos) = s.insts[k].data_pos {
-                flop_state[fi] = values[s.insts[k].input_nets[pos].index()];
+        for (fi, k) in s.flops().enumerate() {
+            if let Some(v) = s.captured(k, &values) {
+                flop_state[fi] = v;
             }
         }
         previous = Some(values.clone());

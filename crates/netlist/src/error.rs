@@ -37,6 +37,12 @@ pub enum NetlistError {
         /// The dangling pin.
         pin: String,
     },
+    /// The combinational logic contains a cycle through the named instance
+    /// (reported by [`Bound::new`](crate::Bound::new)).
+    CombinationalLoop {
+        /// An instance on the cycle.
+        instance: String,
+    },
     /// Two instances share one name.
     DuplicateInstance {
         /// The name used twice.
@@ -65,6 +71,9 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::UnconnectedPin { instance, pin } => {
                 write!(f, "input pin {pin} of instance {instance} is unconnected")
+            }
+            NetlistError::CombinationalLoop { instance } => {
+                write!(f, "combinational loop through instance {instance}")
             }
             NetlistError::DuplicateInstance { instance } => {
                 write!(f, "duplicate instance name {instance}")

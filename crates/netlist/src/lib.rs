@@ -28,10 +28,12 @@
 //! ```
 
 pub mod annotate;
+mod bound;
 mod error;
 pub mod sdf;
 pub mod verilog;
 
+pub use bound::Bound;
 pub use error::NetlistError;
 pub use sdf::{parse_sdf, ArcDelays, DelayAnnotation};
 
@@ -114,14 +116,6 @@ impl Instance {
     pub fn net_on(&self, pin: &str) -> Option<NetId> {
         self.connections.iter().find(|(p, _)| p == pin).map(|(_, n)| *n)
     }
-}
-
-/// The driver of a net as [`Netlist::validate`] records it: an index into
-/// the ports or the instances.
-#[derive(Debug, Clone, Copy)]
-enum Driver {
-    Port(usize),
-    Instance(usize),
 }
 
 /// A flat gate-level module.
@@ -314,109 +308,14 @@ impl Netlist {
 
     /// Checks structural consistency against `library`: every instance's
     /// cell exists, every connected pin exists on it, every net has at most
-    /// one driver, and every instance input pin is connected.
+    /// one driver, and every instance input pin is connected. [`Bound::new`]
+    /// makes the same checks in the same walk, then levelizes.
     ///
     /// # Errors
     ///
     /// Returns the first [`NetlistError`] found.
     pub fn validate(&self, library: &Library) -> Result<(), NetlistError> {
-        // Each net's driver as a port or instance index; a name is
-        // formatted only for the error.
-        let mut drivers: Vec<Option<Driver>> = vec![None; self.net_names.len()];
-        for (k, port) in self.ports.iter().enumerate() {
-            if port.dir == PortDir::Input {
-                drivers[port.net.0] = Some(Driver::Port(k));
-            }
-        }
-        for (k, inst) in self.instances.iter().enumerate() {
-            let cell = library.cell(&inst.cell).ok_or_else(|| NetlistError::UnknownCell {
-                instance: inst.name.clone(),
-                cell: inst.cell.clone(),
-            })?;
-            for (pin, net) in &inst.connections {
-                let is_input = cell.input_cap(pin).is_some();
-                let is_output = cell.output(pin).is_some();
-                if !is_input && !is_output {
-                    return Err(NetlistError::UnknownPin {
-                        instance: inst.name.clone(),
-                        cell: inst.cell.clone(),
-                        pin: pin.clone(),
-                    });
-                }
-                if is_output {
-                    if let Some(prev) = drivers[net.0] {
-                        let first = match prev {
-                            Driver::Port(p) => format!("port {}", self.ports[p].name),
-                            Driver::Instance(i) => self.instances[i].name.clone(),
-                        };
-                        return Err(NetlistError::MultipleDrivers {
-                            net: self.net_name(*net).to_owned(),
-                            first,
-                            second: inst.name.clone(),
-                        });
-                    }
-                    drivers[net.0] = Some(Driver::Instance(k));
-                }
-            }
-            for input in &cell.inputs {
-                if inst.net_on(&input.name).is_none() {
-                    return Err(NetlistError::UnconnectedPin {
-                        instance: inst.name.clone(),
-                        pin: input.name.clone(),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Builds the net → (driving instance, output pin) map against `library`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownCell`] for unmapped instances.
-    pub fn drivers(
-        &self,
-        library: &Library,
-    ) -> Result<HashMap<NetId, (InstId, String)>, NetlistError> {
-        let mut map = HashMap::new();
-        for (k, inst) in self.instances.iter().enumerate() {
-            let cell = library.cell(&inst.cell).ok_or_else(|| NetlistError::UnknownCell {
-                instance: inst.name.clone(),
-                cell: inst.cell.clone(),
-            })?;
-            for (pin, net) in &inst.connections {
-                if cell.output(pin).is_some() {
-                    map.insert(*net, (InstId(k), pin.clone()));
-                }
-            }
-        }
-        Ok(map)
-    }
-
-    /// Builds the net → list of (sink instance, input pin) map.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownCell`] for unmapped instances.
-    #[allow(clippy::type_complexity)]
-    pub fn sinks(
-        &self,
-        library: &Library,
-    ) -> Result<HashMap<NetId, Vec<(InstId, String)>>, NetlistError> {
-        let mut map: HashMap<NetId, Vec<(InstId, String)>> = HashMap::new();
-        for (k, inst) in self.instances.iter().enumerate() {
-            let cell = library.cell(&inst.cell).ok_or_else(|| NetlistError::UnknownCell {
-                instance: inst.name.clone(),
-                cell: inst.cell.clone(),
-            })?;
-            for (pin, net) in &inst.connections {
-                if cell.input_cap(pin).is_some() {
-                    map.entry(*net).or_default().push((InstId(k), pin.clone()));
-                }
-            }
-        }
-        Ok(map)
+        Bound::walk(self, library).map(drop)
     }
 }
 
@@ -529,16 +428,36 @@ mod tests {
     }
 
     #[test]
-    fn drivers_and_sinks() {
+    fn bound_lists_drivers_sinks_and_stages() {
         let nl = inv_chain(2);
-        let lib = tiny_library();
-        let drivers = nl.drivers(&lib).unwrap();
-        let sinks = nl.sinks(&lib).unwrap();
-        let y = nl.find_net("y").unwrap();
-        let a = nl.find_net("a").unwrap();
-        assert_eq!(drivers[&y].0, InstId(1));
-        assert!(!drivers.contains_key(&a), "primary input has no cell driver");
-        assert_eq!(sinks[&a], vec![(InstId(0), "A".to_owned())]);
+        let bound = Bound::new(&nl, &tiny_library()).unwrap();
+        let (a, n, y) =
+            (nl.find_net("a").unwrap(), nl.find_net("n1").unwrap(), nl.find_net("y").unwrap());
+        assert_eq!(bound.driver(y), Some(InstId(1)));
+        assert_eq!(bound.driver(a), None, "primary input has no cell driver");
+        assert_eq!(bound.sinks(a).collect::<Vec<_>>(), [(InstId(0), 0)]);
+        assert_eq!(bound.input_nets(InstId(1)).collect::<Vec<_>>(), [n]);
+        assert_eq!(bound.output_nets(InstId(1)).collect::<Vec<_>>(), [Some(y)]);
+        assert_eq!(bound.connection_input(InstId(1), 1), None, "Y is an output");
+        assert_eq!(bound.stage_count(), 3);
+        assert_eq!(bound.stage(2).collect::<Vec<_>>(), [InstId(1)]);
+    }
+
+    #[test]
+    fn bound_names_an_instance_on_a_loop() {
+        // u0 reads the loop u1 <-> u2 but is not on it.
+        let mut nl = Netlist::new("m");
+        let y = nl.add_port("y", PortDir::Output);
+        let (n1, n2) = (nl.add_net("n1"), nl.add_net("n2"));
+        nl.add_instance("u0", "INV_X1", &[("A", n2), ("Y", y)]);
+        nl.add_instance("u1", "INV_X1", &[("A", n2), ("Y", n1)]);
+        nl.add_instance("u2", "INV_X1", &[("A", n1), ("Y", n2)]);
+        nl.validate(&tiny_library()).expect("a loop passes validation");
+        let err = Bound::new(&nl, &tiny_library()).unwrap_err();
+        assert!(
+            matches!(&err, NetlistError::CombinationalLoop { instance } if instance != "u0"),
+            "{err}"
+        );
     }
 
     #[test]

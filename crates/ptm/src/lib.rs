@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! Predictive transistor models for a 45 nm high-k process.
 //!
 //! This crate stands in for the 45 nm Predictive Technology Model (PTM) cards

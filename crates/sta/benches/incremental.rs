@@ -59,7 +59,8 @@ fn bench_incremental(c: &mut Criterion) {
         });
         // Incremental: same resize against a persistent engine.
         group.bench_function(format!("incremental_recell_{gates}"), |b| {
-            let mut sta = IncrementalSta::new(&nl, &library, &constraints).expect("build");
+            let mut work = nl.clone();
+            let mut sta = IncrementalSta::new(&mut work, &library, &constraints).expect("build");
             b.iter(|| {
                 let target = InstId::from_index(gates / 2);
                 let next = if sta.netlist().instance(target).cell == "INV_X1" {

@@ -65,7 +65,12 @@ impl Error for StaError {
 
 impl From<NetlistError> for StaError {
     fn from(e: NetlistError) -> Self {
-        StaError::Netlist(e)
+        match e {
+            NetlistError::CombinationalLoop { instance } => {
+                StaError::CombinationalLoop { instance }
+            }
+            e => StaError::Netlist(e),
+        }
     }
 }
 

@@ -1,9 +1,10 @@
 //! The compiled timing graph and its one levelized propagation loop.
 //!
-//! [`TimingGraph::compile`] turns a (netlist, library, constraints) triple
-//! into dense tables once: the resolved cell of every instance, the net and
-//! arc index behind every cell pin, per-net sink and driver tables, every
-//! net's load and a levelized evaluation order. [`analyze`] and the
+//! [`TimingGraph::build`] binds a netlist to a library ([`Bound`]: the
+//! resolved cell of every instance, the net behind every cell pin, per-net
+//! sinks and drivers and a levelized evaluation order) and compiles the
+//! timing tables on top once: the arc index behind every (output, input)
+//! pair, every net's load and the back-edge ranges. [`analyze`] and the
 //! incremental engine in [`crate::incremental`] both run
 //! [`TimingGraph::propagate`] on it — the same arc iteration in the same
 //! order — which is what makes incremental results bit-identical to a full
@@ -12,11 +13,10 @@
 use crate::path::{PathSpec, PathStep};
 use crate::report::{Endpoint, EndpointKind, TimingReport};
 use crate::{Constraints, StaError};
-use liberty::{Cell, CellClass, CellId, Library, TimingSense};
-use netlist::{InstId, NetId, Netlist, NetlistError};
-use std::collections::VecDeque;
+use liberty::{CellClass, CellId, Library, TimingSense};
+use netlist::{Bound, InstId, NetId, Netlist};
 
-/// An absent net, pin, driver or arc in the dense tables.
+/// A missing arc, clock input or data net in the dense tables.
 const NONE: u32 = u32::MAX;
 /// The arc slot of an input its output does not depend on.
 const SKIP: u32 = u32::MAX - 1;
@@ -114,68 +114,49 @@ impl NetState {
     }
 }
 
-/// A netlist compiled against one library and constraint set, with the
-/// forward timing state propagated over it.
+/// A netlist bound to one library and compiled against one constraint set,
+/// with the forward timing state propagated over it.
 ///
-/// Structure (sinks, drivers, levels) depends on the netlist and the pin
-/// roles of its cells only, so an instance can be re-celled in place as
-/// long as every connected pin keeps its role ([`Self::recell`]).
+/// Structure (sinks, drivers, levels) lives in the [`Bound`] and depends on
+/// the netlist and the pin roles of its cells only, so an instance can be
+/// re-celled in place as long as every connected pin keeps its role
+/// ([`Self::recell`]).
 #[derive(Debug)]
 pub(crate) struct TimingGraph {
     input_slew: f64,
     output_load: f64,
-    wire_cap: f64,
-    /// The resolved cell of every instance.
-    cells: Vec<CellId>,
-    /// Per instance: where its cell-shaped pin table starts in `pins`, and
-    /// its length. The table holds the net of each cell input, then of each
-    /// cell output ([`NONE`] if unconnected); a flop adds its clock net and
-    /// one arc slot per output (the clock arc), a combinational cell one
-    /// arc slot per (output, input) pair. An arc slot indexes the output's
-    /// `arcs`, or is [`SKIP`] or [`NONE`] (missing).
-    pin_base: Vec<u32>,
-    pin_len: Vec<u32>,
-    pins: Vec<u32>,
+    bound: Bound,
+    /// Per instance: where its arc slots start in `slots`, and how many
+    /// there are. A flop holds the index of its clock input ([`NONE`] if
+    /// the clock is no input), then per output the index of its clock arc
+    /// in the output's `arcs`; a combinational cell one slot per (output,
+    /// input) pair. A slot indexes the output's `arcs`, or is [`SKIP`] or
+    /// [`NONE`] (missing).
+    slot_base: Vec<u32>,
+    slot_len: Vec<u32>,
+    slots: Vec<u32>,
     /// Per instance: where its back edges start in `edges`, how many fit
     /// and how many its last evaluation wrote.
     edge_base: Vec<u32>,
     edge_cap: Vec<u32>,
     edge_len: Vec<u32>,
     edges: Vec<BackEdge>,
-    /// Per connection, instance-major (instance `i` owns
-    /// `conn_base[i]..conn_base[i + 1]`): the net and the index of the cell
-    /// input its pin names, or [`NONE`].
-    conn_base: Vec<u32>,
-    conn_net: Vec<u32>,
-    conn_input: Vec<u32>,
-    /// Per net (`sink_base[n]..sink_base[n + 1]`): the connections of
-    /// input pins on it, as `(instance, connection)`, in instance and
-    /// connection order — the order [`Netlist::sinks`] lists them in.
-    sink_base: Vec<u32>,
-    sinks: Vec<(u32, u32)>,
-    /// Per net: its driving instance, or [`NONE`].
-    driver: Vec<u32>,
-    is_output: Vec<bool>,
-    /// Per net: total capacitive load, as [`crate::path::net_load`] sums it.
+    /// Per net: total capacitive load, as [`Bound::load`] sums it.
     loads: Vec<f64>,
     /// Primary output nets in port order.
     output_ports: Vec<u32>,
-    /// Flops in id order with their data net ([`NONE`] if unconnected).
+    /// Flops in id order with their data net ([`NONE`] if the data pin is
+    /// no input).
     flops: Vec<(u32, u32)>,
-    /// Evaluation order: stage 0 holds the flops, stage `L + 1` the
-    /// combinational instances of logic level `L`, ascending id within a
-    /// stage. Every sink of a stage's outputs sits at a later stage.
-    stage_of: Vec<u32>,
-    stages: Vec<Vec<u32>>,
-    /// Instances waiting for evaluation, per stage.
+    /// Instances waiting for evaluation, per stage of the [`Bound`].
     pending: Vec<Vec<u32>>,
     queued: Vec<bool>,
     state: NetState,
 }
 
 impl TimingGraph {
-    /// Validates and compiles `netlist` against `library` and propagates
-    /// every instance: what a full analysis runs. Also returns the number of
+    /// Binds `netlist` to `library`, compiles it and propagates every
+    /// instance: what a full analysis runs. Also returns the number of
     /// evaluations.
     ///
     /// # Errors
@@ -187,138 +168,89 @@ impl TimingGraph {
         library: &Library,
         constraints: &Constraints,
     ) -> Result<(Self, usize), StaError> {
-        netlist.validate(library)?;
-        let mut graph = Self::compile(netlist, library, constraints)?;
-        let evaluated = graph.propagate(netlist, library)?;
+        let bound = Bound::new(netlist, library)?;
+        let mut graph = Self::compile(bound, netlist, library, constraints);
+        let evaluated = graph.propagate(library)?;
         Ok((graph, evaluated))
     }
 
-    /// Compiles `netlist` against `library`, levelizes it and queues every
-    /// instance for evaluation. `netlist` must pass [`Netlist::validate`]
-    /// against `library`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StaError::CombinationalLoop`] for cyclic logic and
-    /// [`StaError::Netlist`] for an unknown cell.
+    /// Lays out arc slots and loads on `bound` and queues every instance
+    /// for evaluation.
     fn compile(
+        bound: Bound,
         netlist: &Netlist,
         library: &Library,
         constraints: &Constraints,
-    ) -> Result<Self, StaError> {
+    ) -> Self {
         let n_nets = netlist.net_count();
         let n_inst = netlist.instance_count();
         let input_slew = constraints.input_slew.unwrap_or(library.default_input_slew);
+        let output_load = constraints.output_load.unwrap_or(library.default_output_load);
+        let loads =
+            (0..n_nets).map(|n| bound.load(library, NetId::from_index(n), output_load)).collect();
+        let flops = bound
+            .stage(0)
+            .map(|id| {
+                let cell = library.cell_at(bound.cell(id));
+                let data = match &cell.class {
+                    CellClass::Flop { data, .. } => {
+                        cell.inputs.iter().position(|p| p.name == *data)
+                    }
+                    CellClass::Combinational => None,
+                };
+                (ix(id.index()), data.map_or(NONE, |p| ix(bound.input_net(id, p).index())))
+            })
+            .collect();
+        let pending = (0..bound.stage_count())
+            .map(|s| bound.stage(s).map(|id| ix(id.index())).collect())
+            .collect();
         let mut g = TimingGraph {
             input_slew,
-            output_load: constraints.output_load.unwrap_or(library.default_output_load),
-            wire_cap: library.wire_cap_per_fanout,
-            cells: Vec::with_capacity(n_inst),
-            pin_base: vec![0; n_inst],
-            pin_len: vec![0; n_inst],
-            pins: Vec::new(),
+            output_load,
+            bound,
+            slot_base: vec![0; n_inst],
+            slot_len: vec![0; n_inst],
+            slots: Vec::new(),
             edge_base: vec![0; n_inst],
             edge_cap: vec![0; n_inst],
             edge_len: vec![0; n_inst],
             edges: Vec::new(),
-            conn_base: Vec::with_capacity(n_inst + 1),
-            conn_net: Vec::new(),
-            conn_input: Vec::new(),
-            sink_base: vec![0; n_nets + 1],
-            sinks: Vec::new(),
-            driver: vec![NONE; n_nets],
-            is_output: vec![false; n_nets],
-            loads: Vec::with_capacity(n_nets),
+            loads,
             output_ports: netlist.output_nets().map(|n| ix(n.index())).collect(),
-            flops: Vec::new(),
-            stage_of: vec![0; n_inst],
-            stages: Vec::new(),
-            pending: Vec::new(),
+            flops,
+            pending,
             queued: vec![true; n_inst],
             state: NetState::fresh(n_nets, input_slew),
         };
-        for &n in &g.output_ports {
-            g.is_output[n as usize] = true;
-        }
-
-        // Cells, connections and drivers.
-        g.conn_base.push(0);
-        for (k, inst) in netlist.instances().iter().enumerate() {
-            let id = library.cell_id(&inst.cell).ok_or_else(|| {
-                StaError::Netlist(NetlistError::UnknownCell {
-                    instance: inst.name.clone(),
-                    cell: inst.cell.clone(),
-                })
-            })?;
-            g.cells.push(id);
-            let cell = library.cell_at(id);
-            for (pin, net) in &inst.connections {
-                g.conn_net.push(ix(net.index()));
-                g.conn_input.push(input_index(cell, pin));
-                if cell.output(pin).is_some() {
-                    g.driver[net.index()] = ix(k);
-                }
-            }
-            g.conn_base.push(ix(g.conn_net.len()));
-            if let CellClass::Flop { data, .. } = &cell.class {
-                g.flops.push((ix(k), inst.net_on(data).map_or(NONE, |n| ix(n.index()))));
-            }
-            g.place(netlist, library, k);
-        }
-
-        // Sinks, counted then filled in instance and connection order.
-        for (c, &input) in g.conn_input.iter().enumerate() {
-            if input != NONE {
-                g.sink_base[g.conn_net[c] as usize + 1] += 1;
-            }
-        }
-        for n in 0..n_nets {
-            g.sink_base[n + 1] += g.sink_base[n];
-        }
-        let mut fill: Vec<u32> = g.sink_base[..n_nets].to_vec();
-        g.sinks = vec![(0, 0); g.sink_base[n_nets] as usize];
         for k in 0..n_inst {
-            let (lo, hi) = (g.conn_base[k], g.conn_base[k + 1]);
-            for c in lo..hi {
-                if g.conn_input[c as usize] != NONE {
-                    let slot = &mut fill[g.conn_net[c as usize] as usize];
-                    g.sinks[*slot as usize] = (ix(k), c - lo);
-                    *slot += 1;
-                }
-            }
+            g.place(library, k);
         }
-
-        g.loads = (0..n_nets).map(|n| g.net_load(library, n)).collect();
-        g.levelize(netlist, library)?;
-        Ok(g)
+        g
     }
 
-    /// Writes instance `k`'s cell-shaped pin table and sizes its edge
-    /// range, in place when the old ranges are large enough.
-    fn place(&mut self, netlist: &Netlist, library: &Library, k: usize) {
-        let inst = netlist.instance(InstId::from_index(k));
-        let cell = library.cell_at(self.cells[k]);
-        let net_on = |pin: &str| inst.net_on(pin).map_or(NONE, |n| ix(n.index()));
-        let start = self.pins.len();
-        self.pins.extend(cell.inputs.iter().map(|p| net_on(&p.name)));
-        self.pins.extend(cell.outputs.iter().map(|p| net_on(&p.name)));
-        let connected = |pins: &[u32], o: usize| pins[start + cell.inputs.len() + o] != NONE;
+    /// Writes instance `k`'s arc slots and sizes its edge range, in place
+    /// when the old ranges are large enough.
+    fn place(&mut self, library: &Library, k: usize) {
+        let id = InstId::from_index(k);
+        let cell = library.cell_at(self.bound.cell(id));
+        let start = self.slots.len();
         let mut edges = 0u32;
         match &cell.class {
             CellClass::Flop { clock, .. } => {
-                let clock_net = net_on(clock);
-                self.pins.push(clock_net);
+                let clock_pos = cell.inputs.iter().position(|p| p.name == *clock).map_or(NONE, ix);
+                self.slots.push(clock_pos);
                 for (o, out) in cell.outputs.iter().enumerate() {
                     let slot = out.arcs.iter().position(|a| a.related_pin == *clock);
-                    if slot.is_some() && clock_net != NONE && connected(&self.pins, o) {
+                    if slot.is_some() && clock_pos != NONE && self.bound.output_net(id, o).is_some()
+                    {
                         edges += 2;
                     }
-                    self.pins.push(slot.map_or(NONE, ix));
+                    self.slots.push(slot.map_or(NONE, ix));
                 }
             }
             CellClass::Combinational => {
                 for (o, out) in cell.outputs.iter().enumerate() {
-                    let connected = connected(&self.pins, o);
+                    let connected = self.bound.output_net(id, o).is_some();
                     for input in &cell.inputs {
                         let slot = match out.arcs.iter().position(|a| a.related_pin == input.name) {
                             Some(a) => {
@@ -337,18 +269,18 @@ impl TimingGraph {
                             None if out.function.vars().contains(&input.name) => NONE,
                             None => SKIP,
                         };
-                        self.pins.push(slot);
+                        self.slots.push(slot);
                     }
                 }
             }
         }
-        let len = self.pins.len() - start;
-        if len <= self.pin_len[k] as usize {
-            self.pins.copy_within(start.., self.pin_base[k] as usize);
-            self.pins.truncate(start);
+        let len = self.slots.len() - start;
+        if len <= self.slot_len[k] as usize {
+            self.slots.copy_within(start.., self.slot_base[k] as usize);
+            self.slots.truncate(start);
         } else {
-            self.pin_base[k] = ix(start);
-            self.pin_len[k] = ix(len);
+            self.slot_base[k] = ix(start);
+            self.slot_len[k] = ix(len);
         }
         if edges > self.edge_cap[k] {
             self.edge_base[k] = ix(self.edges.len());
@@ -359,116 +291,21 @@ impl TimingGraph {
         }
     }
 
-    /// Total capacitive load of `net`: connected input pins, the per-fanout
-    /// wire model and the external load if it is a primary output — summed
-    /// in [`crate::path::net_load`]'s order, so the bits agree.
-    fn net_load(&self, library: &Library, net: usize) -> f64 {
-        let mut load = 0.0;
-        let mut fanout = 0usize;
-        for &(k, c) in &self.sinks[self.sink_base[net] as usize..self.sink_base[net + 1] as usize] {
-            let input = self.conn_input[(self.conn_base[k as usize] + c) as usize];
-            if input != NONE {
-                load += library.cell_at(self.cells[k as usize]).inputs[input as usize].capacitance;
-                fanout += 1;
-            }
-        }
-        if self.is_output[net] {
-            load += self.output_load;
-            fanout += 1;
-        }
-        load + self.wire_cap * fanout as f64
-    }
-
-    /// Sorts instances into stages (see `stages`) by a Kahn pass over the
-    /// combinational instances and queues all of them.
-    fn levelize(&mut self, netlist: &Netlist, library: &Library) -> Result<(), StaError> {
-        let n_inst = self.cells.len();
-        let comb: Vec<bool> = self
-            .cells
-            .iter()
-            .map(|&c| matches!(library.cell_at(c).class, CellClass::Combinational))
-            .collect();
-        let comb_driven =
-            |g: &Self, net: usize| g.driver[net] != NONE && comb[g.driver[net] as usize];
-        // Per combinational instance: its input connections on nets that a
-        // combinational instance drives and that are not levelized yet.
-        let mut waiting = vec![0u32; n_inst];
-        let mut ready: VecDeque<usize> = VecDeque::new();
-        for k in (0..n_inst).filter(|&k| comb[k]) {
-            for c in self.conn_base[k] as usize..self.conn_base[k + 1] as usize {
-                if self.conn_input[c] != NONE && comb_driven(self, self.conn_net[c] as usize) {
-                    waiting[k] += 1;
-                }
-            }
-            if waiting[k] == 0 {
-                ready.push_back(k);
-            }
-        }
-        // A combinational instance sits one level above its deepest input
-        // net; nets without a combinational driver are level 0.
-        let mut net_level = vec![0u32; self.driver.len()];
-        let mut deepest = 0u32;
-        while let Some(k) = ready.pop_front() {
-            let conns = self.conn_base[k] as usize..self.conn_base[k + 1] as usize;
-            let level = conns
-                .clone()
-                .filter(|&c| self.conn_input[c] != NONE)
-                .map(|c| net_level[self.conn_net[c] as usize])
-                .max()
-                .unwrap_or(0);
-            self.stage_of[k] = level + 1;
-            deepest = deepest.max(level + 1);
-            for c in conns {
-                let net = self.conn_net[c] as usize;
-                if self.driver[net] != ix(k) {
-                    continue;
-                }
-                net_level[net] = level + 1;
-                for s in self.sink_base[net] as usize..self.sink_base[net + 1] as usize {
-                    let sink = self.sinks[s].0 as usize;
-                    if comb[sink] {
-                        waiting[sink] -= 1;
-                        if waiting[sink] == 0 {
-                            ready.push_back(sink);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(starved) = (0..n_inst).find(|&k| comb[k] && self.stage_of[k] == 0) {
-            // Name an instance actually *on* a cycle, not merely starved
-            // downstream of one — the standalone detector tells them apart.
-            let on_cycle = crate::loops::combinational_loops(netlist, library)
-                .into_iter()
-                .flatten()
-                .next()
-                .unwrap_or(InstId::from_index(starved));
-            let name = netlist.instance(on_cycle).name.clone();
-            return Err(StaError::CombinationalLoop { instance: name });
-        }
-        self.stages = vec![Vec::new(); deepest as usize + 1];
-        for k in 0..n_inst {
-            self.stages[self.stage_of[k] as usize].push(ix(k));
-        }
-        self.pending.clone_from(&self.stages);
-        Ok(())
-    }
-
     /// Queues instance `k` for the next [`Self::propagate`].
     fn queue(&mut self, k: usize) {
-        if !self.queued[k] {
-            self.queued[k] = true;
-            self.pending[self.stage_of[k] as usize].push(ix(k));
+        if !std::mem::replace(&mut self.queued[k], true) {
+            self.pending[self.bound.stage_of(InstId::from_index(k))].push(ix(k));
         }
     }
 
     /// Queues the combinational sinks of `net`. Flops never need it: their
     /// launch depends on their own cell and Q-net load only.
     fn queue_sinks(&mut self, net: usize) {
-        for s in self.sink_base[net] as usize..self.sink_base[net + 1] as usize {
-            let k = self.sinks[s].0 as usize;
-            if self.stage_of[k] > 0 {
-                self.queue(k);
+        let TimingGraph { bound, pending, queued, .. } = self;
+        for (k, _) in bound.sinks(NetId::from_index(net)) {
+            let stage = bound.stage_of(k);
+            if stage > 0 && !std::mem::replace(&mut queued[k.index()], true) {
+                pending[stage].push(ix(k.index()));
             }
         }
     }
@@ -481,12 +318,9 @@ impl TimingGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`StaError`] for missing arcs and unconnected input pins.
-    pub(crate) fn propagate(
-        &mut self,
-        netlist: &Netlist,
-        library: &Library,
-    ) -> Result<usize, StaError> {
+    /// Returns [`StaError::MissingArc`] for a cell without an arc its
+    /// function needs.
+    pub(crate) fn propagate(&mut self, library: &Library) -> Result<usize, StaError> {
         let mut evaluated = 0usize;
         for stage in 0..self.pending.len() {
             let mut batch = std::mem::take(&mut self.pending[stage]);
@@ -496,7 +330,7 @@ impl TimingGraph {
                 if stage == 0 {
                     self.eval_flop(library, k as usize)?;
                 } else {
-                    self.eval_comb(netlist, library, k as usize)?;
+                    self.eval_comb(library, k as usize)?;
                 }
             }
             batch.clear();
@@ -508,18 +342,18 @@ impl TimingGraph {
     /// Launches a flop's outputs from the clock edge at the boundary input
     /// slew and records the launch back-edges.
     fn eval_flop(&mut self, library: &Library, k: usize) -> Result<(), StaError> {
-        let cell = library.cell_at(self.cells[k]);
+        let id = InstId::from_index(k);
+        let cell = library.cell_at(self.bound.cell(id));
         let CellClass::Flop { clock, .. } = &cell.class else { return Ok(()) };
-        let (n_in, n_out) = (cell.inputs.len(), cell.outputs.len());
-        let base = self.pin_base[k] as usize;
-        let clock_net = self.pins[base + n_in + n_out];
+        let base = self.slot_base[k] as usize;
+        let clock_pos = self.slots[base];
+        let clock_net =
+            (clock_pos != NONE).then(|| ix(self.bound.input_net(id, clock_pos as usize).index()));
         let mut cursor = self.edge_base[k] as usize;
         for (o, out) in cell.outputs.iter().enumerate() {
-            let net = self.pins[base + n_in + o];
-            if net == NONE {
-                continue;
-            }
-            let slot = self.pins[base + n_in + n_out + 1 + o];
+            let Some(net) = self.bound.output_net(id, o) else { continue };
+            let net = ix(net.index());
+            let slot = self.slots[base + 1 + o];
             if slot == NONE {
                 return Err(StaError::MissingArc {
                     cell: cell.name.clone(),
@@ -535,7 +369,7 @@ impl TimingGraph {
                 arc.transition(true, self.input_slew, load),
                 arc.transition(false, self.input_slew, load),
             ];
-            if clock_net != NONE {
+            if let Some(clock_net) = clock_net {
                 for (rising, delay) in [(true, arrival[0]), (false, arrival[1])] {
                     self.edges[cursor] = BackEdge {
                         out_net: net,
@@ -568,28 +402,22 @@ impl TimingGraph {
     /// input arcs into worst/earliest arrivals, slews and predecessors, and
     /// records the traversed back-edges. Inputs must already hold their
     /// final state.
-    fn eval_comb(
-        &mut self,
-        netlist: &Netlist,
-        library: &Library,
-        k: usize,
-    ) -> Result<(), StaError> {
-        let cell = library.cell_at(self.cells[k]);
-        let (n_in, n_out) = (cell.inputs.len(), cell.outputs.len());
-        let base = self.pin_base[k] as usize;
+    fn eval_comb(&mut self, library: &Library, k: usize) -> Result<(), StaError> {
+        let id = InstId::from_index(k);
+        let cell = library.cell_at(self.bound.cell(id));
+        let n_in = cell.inputs.len();
+        let base = self.slot_base[k] as usize;
         let mut cursor = self.edge_base[k] as usize;
         for (o, out) in cell.outputs.iter().enumerate() {
-            let out_net = self.pins[base + n_in + o];
-            if out_net == NONE {
-                continue;
-            }
+            let Some(out_net) = self.bound.output_net(id, o) else { continue };
+            let out_net = ix(out_net.index());
             let load = self.loads[out_net as usize];
             // Per output edge (rise, fall): (arrival, slew, pred) of the
             // worst input edge, and the earliest arrival.
             let mut best: [Option<(f64, f64, Pred)>; 2] = [None, None];
             let mut least = [f64::INFINITY; 2];
             for (p, input) in cell.inputs.iter().enumerate() {
-                let slot = self.pins[base + n_in + n_out + o * n_in + p];
+                let slot = self.slots[base + o * n_in + p];
                 if slot == SKIP {
                     continue;
                 }
@@ -601,13 +429,7 @@ impl TimingGraph {
                     });
                 }
                 let arc = &out.arcs[slot as usize];
-                let in_net = self.pins[base + p];
-                if in_net == NONE {
-                    return Err(StaError::Netlist(NetlistError::UnconnectedPin {
-                        instance: netlist.instance(InstId::from_index(k)).name.clone(),
-                        pin: input.name.clone(),
-                    }));
-                }
+                let in_net = ix(self.bound.input_net(id, p).index());
                 let i = in_net as usize;
                 for (e, out_rising) in [(0, true), (1, false)] {
                     // Which input edges can cause this output edge.
@@ -675,40 +497,36 @@ impl TimingGraph {
         Ok(())
     }
 
-    /// The resolved cell of instance `k`.
-    pub(crate) fn cell_of(&self, k: usize) -> CellId {
-        self.cells[k]
-    }
-
-    /// Points instance `k` at `cell`, which must keep the instance's class
-    /// and the role of every connected pin, and must have every input
-    /// connected. Re-sums the loads of the nets the instance reads and
-    /// queues it plus the driver of every net whose load changed bits.
-    /// Everything else keeps its inputs, cell and load, so its evaluation
-    /// would not change a bit.
-    pub(crate) fn recell(&mut self, netlist: &Netlist, library: &Library, k: usize, cell: CellId) {
-        self.cells[k] = cell;
-        let new = library.cell_at(cell);
-        let inst = netlist.instance(InstId::from_index(k));
-        let lo = self.conn_base[k] as usize;
-        for (c, (pin, _)) in inst.connections.iter().enumerate() {
-            self.conn_input[lo + c] = input_index(new, pin);
+    /// Points instance `inst` at `cell` if [`Bound::recell`] accepts it,
+    /// and returns whether it did. Re-sums the loads of the nets the
+    /// instance reads and queues it plus the driver of every net whose load
+    /// changed bits. Everything else keeps its inputs, cell and load, so its
+    /// evaluation would not change a bit.
+    pub(crate) fn recell(
+        &mut self,
+        netlist: &Netlist,
+        library: &Library,
+        inst: InstId,
+        cell: CellId,
+    ) -> bool {
+        if !self.bound.recell(netlist, library, inst, cell) {
+            return false;
         }
-        self.place(netlist, library, k);
-        for c in lo..self.conn_base[k + 1] as usize {
-            if self.conn_input[c] == NONE {
+        self.place(library, inst.index());
+        for (c, &(_, net)) in netlist.instance(inst).connections.iter().enumerate() {
+            if self.bound.connection_input(inst, c).is_none() {
                 continue;
             }
-            let net = self.conn_net[c] as usize;
-            let load = self.net_load(library, net);
-            if load.to_bits() != self.loads[net].to_bits() {
-                self.loads[net] = load;
-                if self.driver[net] != NONE {
-                    self.queue(self.driver[net] as usize);
+            let load = self.bound.load(library, net, self.output_load);
+            if load.to_bits() != self.loads[net.index()].to_bits() {
+                self.loads[net.index()] = load;
+                if let Some(driver) = self.bound.driver(net) {
+                    self.queue(driver.index());
                 }
             }
         }
-        self.queue(k);
+        self.queue(inst.index());
+        true
     }
 
     /// The worst endpoint arrival — the critical delay — straight from the
@@ -733,7 +551,7 @@ impl TimingGraph {
         });
         let flops =
             self.flops.iter().filter(|&&(_, data)| data != NONE).filter_map(move |&(k, data)| {
-                match &library.cell_at(self.cells[k as usize]).class {
+                match &library.cell_at(self.bound.cell(InstId::from_index(k as usize))).class {
                     CellClass::Flop { setup, .. } => Some((
                         NetId::from_index(data as usize),
                         EndpointKind::FlopData { setup: *setup },
@@ -745,53 +563,10 @@ impl TimingGraph {
         outputs.chain(flops)
     }
 
-    /// The report for the current state, cloning the per-net vectors.
-    pub(crate) fn report(
-        &self,
-        netlist: &Netlist,
-        library: &Library,
-        constraints: &Constraints,
-    ) -> TimingReport {
-        let s = &self.state;
-        self.extract(netlist, library, constraints).into_report([
-            s.arrival_rise.clone(),
-            s.arrival_fall.clone(),
-            s.min_rise.clone(),
-            s.min_fall.clone(),
-            s.slew_rise.clone(),
-            s.slew_fall.clone(),
-            self.loads.clone(),
-        ])
-    }
-
-    /// The report for the current state, moving the per-net vectors.
-    pub(crate) fn into_report(
-        self,
-        netlist: &Netlist,
-        library: &Library,
-        constraints: &Constraints,
-    ) -> TimingReport {
-        let extracted = self.extract(netlist, library, constraints);
-        let s = self.state;
-        extracted.into_report([
-            s.arrival_rise,
-            s.arrival_fall,
-            s.min_rise,
-            s.min_fall,
-            s.slew_rise,
-            s.slew_fall,
-            self.loads,
-        ])
-    }
-
-    /// Endpoints, hold slacks, the backward required-time pass and the
-    /// critical path of the current state.
-    fn extract(
-        &self,
-        netlist: &Netlist,
-        library: &Library,
-        constraints: &Constraints,
-    ) -> Extracted {
+    /// The report for the current state: endpoints, hold slacks, the
+    /// backward required-time pass, the critical path and copies of the
+    /// per-net vectors.
+    pub(crate) fn report(&self, library: &Library, constraints: &Constraints) -> TimingReport {
         let s = &self.state;
         let mut endpoints: Vec<Endpoint> = self
             .endpoint_arrivals(library)
@@ -810,12 +585,14 @@ impl TimingGraph {
             .flops
             .iter()
             .filter(|&&(_, data)| data != NONE)
-            .filter_map(|&(k, data)| match &library.cell_at(self.cells[k as usize]).class {
-                CellClass::Flop { hold, .. } => {
-                    let i = data as usize;
-                    Some((NetId::from_index(i), s.min_rise[i].min(s.min_fall[i]) - hold))
+            .filter_map(|&(k, data)| {
+                match &library.cell_at(self.bound.cell(InstId::from_index(k as usize))).class {
+                    CellClass::Flop { hold, .. } => {
+                        let i = data as usize;
+                        Some((NetId::from_index(i), s.min_rise[i].min(s.min_fall[i]) - hold))
+                    }
+                    CellClass::Combinational => None,
                 }
-                CellClass::Combinational => None,
             })
             .collect();
 
@@ -836,9 +613,11 @@ impl TimingGraph {
             required_rise[i] = required_rise[i].min(at_net);
             required_fall[i] = required_fall[i].min(at_net);
         }
-        for &k in self.stages.iter().rev().flat_map(|stage| stage.iter().rev()) {
-            let lo = self.edge_base[k as usize] as usize;
-            let hi = lo + self.edge_len[k as usize] as usize;
+        let reverse_order =
+            (0..self.bound.stage_count()).rev().flat_map(|s| self.bound.stage(s).rev());
+        for k in reverse_order.map(InstId::index) {
+            let lo = self.edge_base[k] as usize;
+            let hi = lo + self.edge_len[k] as usize;
             for e in self.edges[lo..hi].iter().rev() {
                 let out = e.out_net as usize;
                 let r_out = if e.out_rising { required_rise[out] } else { required_fall[out] };
@@ -858,7 +637,7 @@ impl TimingGraph {
             Some(worst) => {
                 let i = worst.net.index();
                 let rising = s.arrival_rise[i] >= s.arrival_fall[i];
-                self.backtrack(netlist, library, worst.net, rising, worst.arrival)
+                self.backtrack(library, worst.net, rising, worst.arrival)
             }
             None => PathSpec {
                 start_net: NetId::from_index(0),
@@ -867,14 +646,27 @@ impl TimingGraph {
                 arrival: 0.0,
             },
         };
-        Extracted { endpoints, hold_slacks, required_rise, required_fall, critical }
+        TimingReport {
+            arrival_rise: s.arrival_rise.clone(),
+            arrival_fall: s.arrival_fall.clone(),
+            min_rise: s.min_rise.clone(),
+            min_fall: s.min_fall.clone(),
+            slew_rise: s.slew_rise.clone(),
+            slew_fall: s.slew_fall.clone(),
+            required_rise,
+            required_fall,
+            loads: self.loads.clone(),
+            endpoints,
+            hold_slacks,
+            critical_delay: critical.arrival,
+            critical,
+        }
     }
 
     /// Follows the worst-edge predecessors back from an endpoint, naming
     /// each step's pins.
     fn backtrack(
         &self,
-        netlist: &Netlist,
         library: &Library,
         endpoint: NetId,
         endpoint_rising: bool,
@@ -890,13 +682,15 @@ impl TimingGraph {
                 self.state.pred_fall[net.index()]
             };
             let Some(p) = pred else { break };
-            let cell = library.cell_at(self.cells[p.inst as usize]);
-            let input = match (&cell.class, p.input) {
-                (CellClass::Flop { clock, .. }, CLOCK) => clock.as_str(),
-                (_, i) => cell.inputs.get(i as usize).map_or("", |pin| pin.name.as_str()),
+            let inst = InstId::from_index(p.inst as usize);
+            let cell = library.cell_at(self.bound.cell(inst));
+            let (input, pos) = match (&cell.class, p.input) {
+                (CellClass::Flop { clock, .. }, CLOCK) => {
+                    (clock.as_str(), self.slots[self.slot_base[inst.index()] as usize])
+                }
+                (_, i) => (cell.inputs.get(i as usize).map_or("", |pin| pin.name.as_str()), i),
             };
             let output = cell.outputs.get(p.output as usize).map_or("", |pin| pin.name.as_str());
-            let inst = InstId::from_index(p.inst as usize);
             steps.push(PathStep {
                 inst,
                 input: input.to_owned(),
@@ -905,47 +699,17 @@ impl TimingGraph {
                 output_rising: rising,
                 delay: p.delay,
             });
-            let Some(prev_net) = netlist.instance(inst).net_on(input) else { break };
+            if pos == NONE {
+                break;
+            }
             rising = p.input_rising;
-            net = prev_net;
-            if steps.len() > netlist.instance_count() + 1 {
+            net = self.bound.input_net(inst, pos as usize);
+            if steps.len() > self.slot_base.len() + 1 {
                 break; // defensive: never loop forever on corrupt pred data
             }
         }
         steps.reverse();
         PathSpec { start_net: net, start_rising: rising, steps, arrival }
-    }
-}
-
-/// The per-report parts [`TimingGraph::extract`] computes.
-struct Extracted {
-    endpoints: Vec<Endpoint>,
-    hold_slacks: Vec<(NetId, f64)>,
-    required_rise: Vec<f64>,
-    required_fall: Vec<f64>,
-    critical: PathSpec,
-}
-
-impl Extracted {
-    /// Completes the report with the per-net arrivals, earliest arrivals,
-    /// slews (rise then fall each) and loads.
-    fn into_report(self, per_net: [Vec<f64>; 7]) -> TimingReport {
-        let [arrival_rise, arrival_fall, min_rise, min_fall, slew_rise, slew_fall, loads] = per_net;
-        TimingReport {
-            arrival_rise,
-            arrival_fall,
-            min_rise,
-            min_fall,
-            slew_rise,
-            slew_fall,
-            required_rise: self.required_rise,
-            required_fall: self.required_fall,
-            loads,
-            endpoints: self.endpoints,
-            hold_slacks: self.hold_slacks,
-            critical_delay: self.critical.arrival,
-            critical: self.critical,
-        }
     }
 }
 
@@ -966,12 +730,7 @@ pub fn analyze(
     constraints: &Constraints,
 ) -> Result<TimingReport, StaError> {
     let graph = TimingGraph::build(netlist, library, constraints)?.0;
-    Ok(graph.into_report(netlist, library, constraints))
-}
-
-/// The index of the first input of `cell` named `pin`, or [`NONE`].
-fn input_index(cell: &Cell, pin: &str) -> u32 {
-    cell.inputs.iter().position(|p| p.name == pin).map_or(NONE, ix)
+    Ok(graph.report(library, constraints))
 }
 
 #[cfg(test)]

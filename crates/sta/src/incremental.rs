@@ -1,6 +1,7 @@
 //! Incremental static timing analysis.
 //!
-//! [`IncrementalSta`] keeps a persistent compiled timing graph and accepts
+//! [`IncrementalSta`] works on the caller's netlist through a mutable
+//! borrow, keeps a persistent compiled timing graph over it and accepts
 //! [`StaChange`] sets — per-instance re-annotation or resize ([`StaChange::Recell`]),
 //! library swaps, constraint edits. It re-evaluates only the instances whose
 //! timing can actually move (the seeded dirty set plus the value-changed
@@ -11,8 +12,9 @@
 //!   ([`TimingGraph::propagate`]), so a re-evaluated instance reads input
 //!   nets that hold the values a full analysis would produce and gets
 //!   bit-identical results.
-//! - A recell re-resolves only its own instance and re-sums only the loads
-//!   of the nets it reads, in the full analysis' order. It seeds itself and
+//! - A recell rebinds only its own instance ([`netlist::Bound::recell`])
+//!   and re-sums only the loads of the nets it reads, in the full
+//!   analysis' order. It seeds itself and
 //!   the driver of every net whose load changed; every other instance keeps
 //!   its inputs, cell and load, so skipping it reproduces the full result
 //!   exactly. Instances whose input values are bitwise unchanged are
@@ -27,8 +29,9 @@
 use crate::graph::TimingGraph;
 use crate::report::TimingReport;
 use crate::{Constraints, StaError};
-use liberty::{Cell, CellClass, Library};
-use netlist::{InstId, Instance, Netlist, NetlistError};
+use liberty::Library;
+use netlist::{InstId, Netlist, NetlistError};
+use std::cell::OnceCell;
 
 /// One edit to a live timing graph.
 #[derive(Debug, Clone)]
@@ -81,38 +84,41 @@ impl StaStats {
     }
 }
 
-/// A persistent, incrementally updatable timing graph.
+/// A persistent, incrementally updatable timing graph over a borrowed
+/// netlist.
 ///
-/// Owns clones of the netlist, library and constraints; [`Self::apply`]
-/// mutates them in place and repairs the timing state. [`Self::report`]
-/// is bit-identical to `analyze(self.netlist(), self.library(),
+/// Edits the caller's netlist in place and owns copies of the library and
+/// constraints; [`Self::apply`] changes them and repairs the timing state.
+/// A failed change leaves the netlist as it was. [`Self::report`] is
+/// bit-identical to `analyze(self.netlist(), self.library(),
 /// self.constraints())` at every point in the change history.
 #[derive(Debug)]
-pub struct IncrementalSta {
-    netlist: Netlist,
+pub struct IncrementalSta<'a> {
+    netlist: &'a mut Netlist,
     library: Library,
     constraints: Constraints,
     graph: TimingGraph,
     stats: StaStats,
-    cache: Option<TimingReport>,
+    cache: OnceCell<TimingReport>,
     poison: Option<StaError>,
 }
 
-impl IncrementalSta {
-    /// Builds the timing graph and runs the initial full evaluation.
+impl<'a> IncrementalSta<'a> {
+    /// Builds the timing graph over `netlist` and runs the initial full
+    /// evaluation.
     ///
     /// # Errors
     ///
     /// Returns [`StaError`] for the same structural problems a full
     /// [`crate::analyze`] would report.
     pub fn new(
-        netlist: &Netlist,
+        netlist: &'a mut Netlist,
         library: &Library,
         constraints: &Constraints,
     ) -> Result<Self, StaError> {
         let (graph, evaluated) = TimingGraph::build(netlist, library, constraints)?;
         Ok(IncrementalSta {
-            netlist: netlist.clone(),
+            netlist,
             library: library.clone(),
             constraints: constraints.clone(),
             graph,
@@ -122,15 +128,15 @@ impl IncrementalSta {
                 recomputed_total: evaluated as u64,
                 ..StaStats::default()
             },
-            cache: None,
+            cache: OnceCell::new(),
             poison: None,
         })
     }
 
-    /// The engine's current netlist (kept in sync with applied changes).
+    /// The netlist the engine edits.
     #[must_use]
     pub fn netlist(&self) -> &Netlist {
-        &self.netlist
+        self.netlist
     }
 
     /// The engine's current library.
@@ -188,13 +194,11 @@ impl IncrementalSta {
     ///
     /// Returns the stored error when the engine is poisoned by a previous
     /// failed change.
-    pub fn report(&mut self) -> Result<&TimingReport, StaError> {
+    pub fn report(&self) -> Result<&TimingReport, StaError> {
         if let Some(err) = &self.poison {
             return Err(err.clone());
         }
-        Ok(self.cache.get_or_insert_with(|| {
-            self.graph.report(&self.netlist, &self.library, &self.constraints)
-        }))
+        Ok(self.cache.get_or_init(|| self.graph.report(&self.library, &self.constraints)))
     }
 
     /// Worst endpoint arrival (the critical delay), bit-identical to
@@ -204,11 +208,11 @@ impl IncrementalSta {
     /// # Errors
     ///
     /// See [`Self::report`].
-    pub fn critical_delay(&mut self) -> Result<f64, StaError> {
+    pub fn critical_delay(&self) -> Result<f64, StaError> {
         if let Some(err) = &self.poison {
             return Err(err.clone());
         }
-        Ok(match &self.cache {
+        Ok(match self.cache.get() {
             Some(report) => report.critical_delay(),
             None => self.graph.critical_delay(&self.library),
         })
@@ -231,7 +235,7 @@ impl IncrementalSta {
                 if unchanged(&old) == unchanged(constraints) {
                     // Clock-period-only edit: the forward state is untouched;
                     // only the report (required times, slacks) changes.
-                    self.cache = None;
+                    self.cache.take();
                     Ok(())
                 } else {
                     self.full_refresh().inspect_err(|_| self.constraints = old)
@@ -257,17 +261,13 @@ impl IncrementalSta {
                 cell: cell.to_owned(),
             }));
         };
-        let k = inst.index();
-        let old = self.library.cell_at(self.graph.cell_of(k));
-        let fits = fits(instance, old, self.library.cell_at(id));
         let old_name =
             std::mem::replace(&mut self.netlist.instance_mut(inst).cell, cell.to_owned());
-        let result = if fits {
-            self.graph.recell(&self.netlist, &self.library, k, id);
-            self.graph.propagate(&self.netlist, &self.library).map(|evaluated| {
+        let result = if self.graph.recell(self.netlist, &self.library, inst, id) {
+            self.graph.propagate(&self.library).map(|evaluated| {
                 self.stats.last_recomputed += evaluated;
                 self.stats.recomputed_total += evaluated as u64;
-                self.cache = None;
+                self.cache.take();
             })
         } else {
             // Pin roles or sequential class changed: sinks/drivers/levels are
@@ -290,42 +290,23 @@ impl IncrementalSta {
     /// On failure the previous graph stays in place.
     fn full_refresh(&mut self) -> Result<(), StaError> {
         let (graph, evaluated) =
-            TimingGraph::build(&self.netlist, &self.library, &self.constraints)?;
+            TimingGraph::build(self.netlist, &self.library, &self.constraints)?;
         self.graph = graph;
         self.stats.instances_total = evaluated;
         self.stats.last_recomputed += evaluated;
         self.stats.recomputed_total += evaluated as u64;
         self.stats.full_refreshes += 1;
-        self.cache = None;
+        self.cache.take();
         self.poison = None;
         Ok(())
     }
-}
-
-/// Whether `new` can replace `old` as `inst`'s cell without changing the
-/// graph's structure: the same class (a flop keeping its clock and data
-/// pins), the same role for every connected pin, and every input pin
-/// connected (as a full analysis' validation demands).
-fn fits(inst: &Instance, old: &Cell, new: &Cell) -> bool {
-    let kind_ok = match (&old.class, &new.class) {
-        (CellClass::Combinational, CellClass::Combinational) => true,
-        (
-            CellClass::Flop { clock: c0, data: d0, .. },
-            CellClass::Flop { clock: c1, data: d1, .. },
-        ) => c0 == c1 && d0 == d1,
-        _ => false,
-    };
-    let roles = |c: &Cell, pin: &str| (c.input_cap(pin).is_some(), c.output(pin).is_some());
-    kind_ok
-        && inst.connections.iter().all(|(pin, _)| roles(old, pin) == roles(new, pin))
-        && new.inputs.iter().all(|p| inst.net_on(&p.name).is_some())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyze;
-    use liberty::Cell;
+    use liberty::{Cell, CellClass};
     use netlist::PortDir;
 
     fn lib() -> Library {
@@ -368,7 +349,8 @@ mod tests {
         let nl = chain(6);
         let constraints = Constraints::with_clock(1e-9);
         let full = analyze(&nl, &lib, &constraints).unwrap();
-        let mut inc = IncrementalSta::new(&nl, &lib, &constraints).unwrap();
+        let mut work = nl.clone();
+        let inc = IncrementalSta::new(&mut work, &lib, &constraints).unwrap();
         assert_eq!(inc.report().unwrap(), &full);
         assert_eq!(inc.stats().instances_total, 6);
         assert_eq!(inc.stats().recomputed_total, 6);
@@ -379,7 +361,8 @@ mod tests {
         let lib = lib();
         let nl = chain(8);
         let constraints = Constraints::default();
-        let mut inc = IncrementalSta::new(&nl, &lib, &constraints).unwrap();
+        let mut work = nl.clone();
+        let mut inc = IncrementalSta::new(&mut work, &lib, &constraints).unwrap();
         // Resize the tail instance: only itself and the load-affected
         // predecessor driver need re-evaluation.
         let tail = InstId::from_index(7);
@@ -396,7 +379,8 @@ mod tests {
     fn head_recell_repropagates_downstream() {
         let lib = lib();
         let nl = chain(8);
-        let mut inc = IncrementalSta::new(&nl, &lib, &Constraints::default()).unwrap();
+        let mut work = nl.clone();
+        let mut inc = IncrementalSta::new(&mut work, &lib, &Constraints::default()).unwrap();
         inc.recell(InstId::from_index(0), "INV_X4").unwrap();
         // The head's slew change propagates the whole chain.
         assert_eq!(inc.stats().last_recomputed, 8);
@@ -410,7 +394,8 @@ mod tests {
     fn recell_to_same_strength_is_free_and_revert_restores() {
         let lib = lib();
         let nl = chain(5);
-        let mut inc = IncrementalSta::new(&nl, &lib, &Constraints::default()).unwrap();
+        let mut work = nl.clone();
+        let mut inc = IncrementalSta::new(&mut work, &lib, &Constraints::default()).unwrap();
         let before = inc.report().unwrap().clone();
         let mid = InstId::from_index(2);
         inc.recell(mid, "INV_X1").unwrap(); // no-op recell
@@ -424,18 +409,49 @@ mod tests {
     fn unknown_cell_is_rejected_and_engine_survives() {
         let lib = lib();
         let nl = chain(4);
-        let mut inc = IncrementalSta::new(&nl, &lib, &Constraints::default()).unwrap();
+        let mut work = nl.clone();
+        let mut inc = IncrementalSta::new(&mut work, &lib, &Constraints::default()).unwrap();
         let err = inc.recell(InstId::from_index(1), "NO_SUCH_CELL").unwrap_err();
         assert!(matches!(err, StaError::Netlist(NetlistError::UnknownCell { .. })));
         let full = analyze(&nl, &lib, &Constraints::default()).unwrap();
         assert_eq!(inc.report().unwrap(), &full);
     }
 
+    /// A failed recell leaves the caller's netlist as it was and the engine
+    /// usable, whether it fails before touching anything (an unknown cell)
+    /// or in the rebuild a non-fitting cell forces (a flop has no pin A).
+    #[test]
+    fn failed_recells_leave_the_callers_netlist_and_the_engine_usable() {
+        let mut lib = lib();
+        lib.add_cell(flop_cell());
+        let nl = chain(4);
+        let full = analyze(&nl, &lib, &Constraints::default()).unwrap();
+        let mut work = nl.clone();
+        let mut inc = IncrementalSta::new(&mut work, &lib, &Constraints::default()).unwrap();
+        let u1 = InstId::from_index(1);
+        let unknown = NetlistError::UnknownCell { instance: "u1".into(), cell: "NOPE".into() };
+        assert_eq!(inc.recell(u1, "NOPE").unwrap_err(), StaError::Netlist(unknown));
+        assert_eq!(inc.netlist(), &nl);
+        assert_eq!(inc.report().unwrap(), &full);
+        let no_pin = NetlistError::UnknownPin {
+            instance: "u1".into(),
+            cell: "DFF_X1".into(),
+            pin: "A".into(),
+        };
+        assert_eq!(inc.recell(u1, "DFF_X1").unwrap_err(), StaError::Netlist(no_pin));
+        assert_eq!(inc.netlist(), &nl);
+        assert_eq!(inc.report().unwrap(), &full);
+        assert_eq!(inc.stats().full_refreshes, 1, "the restore after the failed rebuild");
+        drop(inc);
+        assert_eq!(work, nl);
+    }
+
     #[test]
     fn clock_only_constraint_edit_recomputes_nothing() {
         let lib = lib();
         let nl = chain(6);
-        let mut inc = IncrementalSta::new(&nl, &lib, &Constraints::default()).unwrap();
+        let mut work = nl.clone();
+        let mut inc = IncrementalSta::new(&mut work, &lib, &Constraints::default()).unwrap();
         let evals = inc.stats().recomputed_total;
         inc.apply(&[StaChange::SetConstraints(Constraints::with_clock(2e-9))]).unwrap();
         assert_eq!(inc.stats().recomputed_total, evals);
@@ -459,7 +475,8 @@ mod tests {
             slow.add_cell(cell);
         }
         let nl = chain(5);
-        let mut inc = IncrementalSta::new(&nl, &lib, &Constraints::default()).unwrap();
+        let mut work = nl.clone();
+        let mut inc = IncrementalSta::new(&mut work, &lib, &Constraints::default()).unwrap();
         inc.apply(&[StaChange::SwapLibrary(slow.clone())]).unwrap();
         assert_eq!(inc.stats().full_refreshes, 1);
         let full = analyze(&nl, &slow, &Constraints::default()).unwrap();
@@ -512,7 +529,8 @@ mod tests {
         nl.add_instance("u0", "INV_X1", &[("A", q1), ("Y", n1)]);
         nl.add_instance("ff1", "DFF_X1", &[("D", n1), ("CK", clk), ("Q", q2)]);
         let constraints = Constraints::with_clock(1e-9);
-        let mut inc = IncrementalSta::new(&nl, &lib, &constraints).unwrap();
+        let mut work = nl.clone();
+        let mut inc = IncrementalSta::new(&mut work, &lib, &constraints).unwrap();
         inc.recell(InstId::from_index(1), "INV_X4").unwrap();
         let mut reference = nl.clone();
         reference.instance_mut(InstId::from_index(1)).cell = "INV_X4".into();
@@ -526,7 +544,8 @@ mod tests {
     fn unknown_instance_is_a_typed_error_and_engine_survives() {
         let lib = lib();
         let nl = chain(4);
-        let mut inc = IncrementalSta::new(&nl, &lib, &Constraints::default()).unwrap();
+        let mut work = nl.clone();
+        let mut inc = IncrementalSta::new(&mut work, &lib, &Constraints::default()).unwrap();
         let err = inc.recell(InstId::from_index(4), "INV_X4").unwrap_err();
         assert_eq!(err, StaError::UnknownInstance { index: 4, instances: 4 });
         assert!(err.to_string().contains("outside the netlist"), "{err}");
@@ -545,7 +564,8 @@ mod tests {
     fn failed_library_swap_keeps_the_old_library() {
         let lib = lib();
         let nl = chain(4);
-        let mut inc = IncrementalSta::new(&nl, &lib, &Constraints::default()).unwrap();
+        let mut work = nl.clone();
+        let mut inc = IncrementalSta::new(&mut work, &lib, &Constraints::default()).unwrap();
         let empty = Library::new("empty", lib.vdd);
         let err = inc.apply(&[StaChange::SwapLibrary(empty)]).unwrap_err();
         assert!(matches!(err, StaError::Netlist(NetlistError::UnknownCell { .. })));

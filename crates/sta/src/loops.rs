@@ -1,9 +1,9 @@
 //! Standalone combinational-loop detection.
 //!
-//! Historically a combinational loop was only discoverable by running full
-//! STA and watching the topological sweep stall. This module exposes the
-//! detection as its own cheap pass — used by the `relialint` pre-flight
-//! checks and by [`analyze`](crate::analyze) to name the offending cycle.
+//! This pass is total: it runs on netlists that fail validation, which is
+//! what the `relialint` pre-flight checks and the `dataflow` engine need.
+//! [`analyze`](crate::analyze) reports a loop through the levelization of
+//! [`netlist::Bound`] instead, naming one instance on the cycle.
 
 use liberty::Library;
 use netlist::{InstId, Netlist};

@@ -1,6 +1,6 @@
 use crate::{Constraints, StaError, TimingReport};
-use liberty::Library;
-use netlist::{InstId, NetId, Netlist};
+use liberty::{Cell, Library, TimingArc};
+use netlist::{Bound, InstId, NetId, Netlist, NetlistError};
 
 /// One traversed timing arc of a path.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,8 +60,9 @@ impl PathSpec {
 ///
 /// # Errors
 ///
-/// Returns [`StaError`] if a step references a cell/pin/arc the library
-/// does not provide.
+/// Returns [`StaError`] if `netlist` does not bind to `library` (see
+/// [`Bound::new`]) or a step references a cell/pin/arc the library does
+/// not provide.
 pub fn evaluate_path(
     netlist: &Netlist,
     library: &Library,
@@ -78,44 +79,22 @@ pub fn evaluate_path(
 ///
 /// # Errors
 ///
-/// Returns [`StaError`] if a step references a cell/pin/arc the library
-/// does not provide.
+/// Returns [`StaError`] if `netlist` does not bind to `library` (see
+/// [`Bound::new`]) or a step references a cell/pin/arc the library does
+/// not provide.
 pub fn evaluate_path_steps(
     netlist: &Netlist,
     library: &Library,
     constraints: &Constraints,
     path: &PathSpec,
 ) -> Result<Vec<f64>, StaError> {
-    let sinks = netlist.sinks(library)?;
+    let bound = Bound::new(netlist, library)?;
     let output_load = constraints.output_load.unwrap_or(library.default_output_load);
     let mut slew = constraints.input_slew.unwrap_or(library.default_input_slew);
     let mut delays = Vec::with_capacity(path.steps.len());
-    let output_nets: std::collections::HashSet<NetId> = netlist.output_nets().collect();
-
     for step in &path.steps {
-        let inst = netlist.instance(step.inst);
-        let cell = library.cell(&inst.cell).ok_or_else(|| {
-            StaError::Netlist(netlist::NetlistError::UnknownCell {
-                instance: inst.name.clone(),
-                cell: inst.cell.clone(),
-            })
-        })?;
-        let out_pin = cell.output(&step.output).ok_or_else(|| StaError::MissingArc {
-            cell: cell.name.clone(),
-            input: step.input.clone(),
-            output: step.output.clone(),
-        })?;
-        let arc = out_pin.arc_from(&step.input).ok_or_else(|| StaError::MissingArc {
-            cell: cell.name.clone(),
-            input: step.input.clone(),
-            output: step.output.clone(),
-        })?;
-        let out_net = inst.net_on(&step.output).ok_or_else(|| StaError::MissingArc {
-            cell: cell.name.clone(),
-            input: step.input.clone(),
-            output: step.output.clone(),
-        })?;
-        let load = net_load(library, &sinks, netlist, out_net, &output_nets, output_load);
+        let (_, arc, _, out_net) = step_arc(netlist, library, step)?;
+        let load = bound.load(library, out_net, output_load);
         delays.push(arc.delay(step.output_rising, slew, load));
         slew = arc.transition(step.output_rising, slew, load);
     }
@@ -151,22 +130,7 @@ pub fn evaluate_path_steps_with(
     let input_slew = constraints.input_slew.unwrap_or(library.default_input_slew);
     let mut delays = Vec::with_capacity(path.steps.len());
     for step in &path.steps {
-        let inst = netlist.instance(step.inst);
-        let cell = library.cell(&inst.cell).ok_or_else(|| {
-            StaError::Netlist(netlist::NetlistError::UnknownCell {
-                instance: inst.name.clone(),
-                cell: inst.cell.clone(),
-            })
-        })?;
-        let missing_arc = || StaError::MissingArc {
-            cell: cell.name.clone(),
-            input: step.input.clone(),
-            output: step.output.clone(),
-        };
-        let out_pin = cell.output(&step.output).ok_or_else(missing_arc)?;
-        let arc = out_pin.arc_from(&step.input).ok_or_else(missing_arc)?;
-        let in_net = inst.net_on(&step.input).ok_or_else(missing_arc)?;
-        let out_net = inst.net_on(&step.output).ok_or_else(missing_arc)?;
+        let (cell, arc, in_net, out_net) = step_arc(netlist, library, step)?;
         let slew = if cell.is_sequential() {
             // Launch semantics: the analysis starts flop outputs from the
             // clock edge at the constrained input slew, regardless of the
@@ -180,34 +144,33 @@ pub fn evaluate_path_steps_with(
     Ok(delays)
 }
 
-/// Total capacitive load of `net`: connected input pins, the per-fanout
-/// wire model, and the external load if it is a primary output.
-pub(crate) fn net_load(
-    library: &Library,
-    sinks: &std::collections::HashMap<NetId, Vec<(InstId, String)>>,
+/// The cell of `step`'s instance, the arc the step traverses and the nets
+/// on its input and output pins.
+///
+/// # Errors
+///
+/// Returns [`StaError`] if the library lacks the cell or the arc, or a pin
+/// of the step is unconnected.
+fn step_arc<'a>(
     netlist: &Netlist,
-    net: NetId,
-    output_nets: &std::collections::HashSet<NetId>,
-    output_load: f64,
-) -> f64 {
-    let mut load = 0.0;
-    let mut fanout = 0usize;
-    if let Some(pins) = sinks.get(&net) {
-        for (inst, pin) in pins {
-            let cell_name = &netlist.instance(*inst).cell;
-            if let Some(cell) = library.cell(cell_name) {
-                if let Some(cap) = cell.input_cap(pin) {
-                    load += cap;
-                    fanout += 1;
-                }
-            }
-        }
-    }
-    if output_nets.contains(&net) {
-        load += output_load;
-        fanout += 1;
-    }
-    load + library.wire_cap_per_fanout * fanout as f64
+    library: &'a Library,
+    step: &PathStep,
+) -> Result<(&'a Cell, &'a TimingArc, NetId, NetId), StaError> {
+    let inst = netlist.instance(step.inst);
+    let cell = library.cell(&inst.cell).ok_or_else(|| NetlistError::UnknownCell {
+        instance: inst.name.clone(),
+        cell: inst.cell.clone(),
+    })?;
+    let missing_arc = || StaError::MissingArc {
+        cell: cell.name.clone(),
+        input: step.input.clone(),
+        output: step.output.clone(),
+    };
+    let arc = cell.output(&step.output).and_then(|o| o.arc_from(&step.input));
+    let arc = arc.ok_or_else(missing_arc)?;
+    let in_net = inst.net_on(&step.input).ok_or_else(missing_arc)?;
+    let out_net = inst.net_on(&step.output).ok_or_else(missing_arc)?;
+    Ok((cell, arc, in_net, out_net))
 }
 
 #[cfg(test)]

@@ -8,14 +8,15 @@
 use crate::matching::family_name;
 use crate::{MapOptions, SynthError};
 use liberty::Library;
-use netlist::{InstId, NetId, Netlist, NetlistError};
+use netlist::{Bound, InstId, NetId, Netlist};
 use sta::{Constraints, IncrementalSta};
 use std::collections::HashMap;
 
 /// Splits nets whose fanout exceeds `max_fanout` by inserting buffer trees.
 ///
 /// Overloaded nets are worked in `NetId` order against one per-net sink
-/// table that is updated in place as buffers go in; a net is revisited
+/// table, taken from the netlist's [`Bound`] binding to `library` and
+/// updated in place as buffers go in; a net is revisited
 /// until its fanout fits. Buffer names and instance order thus follow from
 /// the netlist alone, so the same netlist and library always give the same
 /// result. A buffer is named `fob<branch net index>`, or the next unused
@@ -23,8 +24,8 @@ use std::collections::HashMap;
 ///
 /// # Errors
 ///
-/// Returns [`SynthError::Sta`] carrying [`NetlistError::UnknownCell`] if an
-/// instance references a cell missing from `library`, whether or not the
+/// Returns [`SynthError::Sta`] with the error of [`Bound::new`] if `nl`
+/// does not bind to `library` (an unknown cell, say), whether or not the
 /// library has a buffer cell.
 pub fn buffer_fanout(
     nl: &mut Netlist,
@@ -32,7 +33,9 @@ pub fn buffer_fanout(
     max_fanout: usize,
 ) -> Result<(), SynthError> {
     let max_fanout = max_fanout.max(2);
-    let mut sinks = sink_table(nl, library)?;
+    let bound = Bound::new(nl, library)?;
+    let mut sinks: Vec<Vec<(InstId, usize)>> =
+        (0..nl.net_count()).map(|n| bound.sinks(NetId::from_index(n)).collect()).collect();
     let Some((buf_cell, in_pin, out_pin)) = library
         .cells()
         .find(|c| {
@@ -85,25 +88,6 @@ pub fn buffer_fanout(
     Ok(())
 }
 
-/// Per net, its sinks as `(instance, connection index)` in instance and
-/// connection order — the order [`Netlist::sinks`] lists them in.
-fn sink_table(nl: &Netlist, library: &Library) -> Result<Vec<Vec<(InstId, usize)>>, SynthError> {
-    let mut table = vec![Vec::new(); nl.net_count()];
-    for id in nl.instance_ids() {
-        let inst = nl.instance(id);
-        let cell = library.cell(&inst.cell).ok_or_else(|| NetlistError::UnknownCell {
-            instance: inst.name.clone(),
-            cell: inst.cell.clone(),
-        })?;
-        for (conn, (pin, net)) in inst.connections.iter().enumerate() {
-            if cell.input_cap(pin).is_some() {
-                table[net.index()].push((id, conn));
-            }
-        }
-    }
-    Ok(table)
-}
-
 /// Gate sizing: a load-based pass that picks the smallest strength able to
 /// drive each instance's load near the library's characterized sweet spot,
 /// followed by greedy critical-path upsizing validated by STA — all against
@@ -128,24 +112,22 @@ pub fn size_gates(
         is_output[net.index()] = true;
     }
     for _ in 0..2 {
-        let sinks = sink_table(nl, library)?;
+        let bound = Bound::new(nl, library)?;
         let mut changes: Vec<(InstId, String)> = Vec::new();
         for id in nl.instance_ids() {
             let inst = nl.instance(id);
-            let Some(cell) = library.cell(&inst.cell) else { continue };
             let (fam, _) = family_name(&inst.cell);
             let Some(fam_variants) = variants.get(fam) else { continue };
             if fam_variants.len() < 2 {
                 continue;
             }
             // Load on the (first) output.
-            let Some(out) = cell.outputs.first() else { continue };
-            let Some(out_net) = inst.net_on(&out.name) else { continue };
-            let load: f64 = sinks[out_net.index()]
-                .iter()
-                .filter_map(|&(s, conn)| {
-                    let sink = nl.instance(s);
-                    library.cell(&sink.cell).and_then(|c| c.input_cap(&sink.connections[conn].0))
+            let Some(Some(out_net)) = bound.output_nets(id).next() else { continue };
+            let load: f64 = bound
+                .sinks(out_net)
+                .filter_map(|(s, conn)| {
+                    let input = bound.connection_input(s, conn)?;
+                    Some(library.cell_at(bound.cell(s)).inputs[input].capacitance)
                 })
                 .sum::<f64>()
                 + library.default_output_load * f64::from(u8::from(is_output[out_net.index()]));
@@ -176,7 +158,8 @@ pub fn size_gates(
     // `Recell` change that only re-times the instance's fanout cone, and a
     // rejected batch is undone by revert-recells. Incremental results are
     // bit-identical to a fresh `analyze`, so the decisions (and thus the
-    // final netlist) are exactly those of the full re-STA loop.
+    // final netlist) are exactly those of the full re-STA loop. The engine
+    // edits `nl` itself.
     let constraints = Constraints::default();
     let mut sta = IncrementalSta::new(nl, library, &constraints)?;
     for _ in 0..options.sizing_iterations {
@@ -185,18 +168,14 @@ pub fn size_gates(
         let path: Vec<InstId> = report.critical_path().steps.iter().map(|s| s.inst).collect();
         let mut touched: Vec<(InstId, String)> = Vec::new();
         for inst_id in path {
-            let inst = nl.instance(inst_id);
-            let (fam, strength) = family_name(&inst.cell);
+            let cell = sta.netlist().instance(inst_id).cell.clone();
+            let (fam, strength) = family_name(&cell);
             let Some(fam_variants) = variants.get(fam) else { continue };
             // Next strength up, if any.
-            let next = fam_variants
-                .iter()
-                .find(|(name, _)| family_name(name).1 > strength)
-                .map(|(name, _)| name.clone());
-            if let Some(next) = next {
-                touched.push((inst_id, inst.cell.clone()));
-                sta.recell(inst_id, &next)?;
-                nl.instance_mut(inst_id).cell = next;
+            let next = fam_variants.iter().find(|(name, _)| family_name(name).1 > strength);
+            if let Some((next, _)) = next {
+                sta.recell(inst_id, next)?;
+                touched.push((inst_id, cell));
             }
         }
         if touched.is_empty() {
@@ -207,7 +186,6 @@ pub fn size_gates(
             // Revert a non-improving batch and stop.
             for (id, cell) in touched {
                 sta.recell(id, &cell)?;
-                nl.instance_mut(id).cell = cell;
             }
             break;
         }
@@ -246,22 +224,19 @@ pub fn optimize_critical_path(
             sta.report()?.critical_path().steps.iter().map(|s| s.inst).collect();
         let mut improved = false;
         for inst_id in steps.into_iter().rev() {
-            let cell_name = nl.instance(inst_id).cell.clone();
+            let cell_name = sta.netlist().instance(inst_id).cell.clone();
             let (fam, strength) = family_name(&cell_name);
             let Some(fam_variants) = variants.get(fam) else { continue };
-            let Some(next) = fam_variants
-                .iter()
-                .find(|(name, _)| family_name(name).1 > strength)
-                .map(|(name, _)| name.clone())
+            let Some((next, _)) =
+                fam_variants.iter().find(|(name, _)| family_name(name).1 > strength)
             else {
                 continue;
             };
-            sta.recell(inst_id, &next)?;
+            sta.recell(inst_id, next)?;
             let delay = sta.critical_delay()?;
             if delay < best - 1e-15 {
                 best = delay;
                 improved = true;
-                nl.instance_mut(inst_id).cell = next;
             } else {
                 sta.recell(inst_id, &cell_name)?;
             }
@@ -300,8 +275,8 @@ pub fn area_recover(
         let report = sta.report()?;
         let baseline_cp = report.critical_delay();
         let mut changes: Vec<(InstId, String, String)> = Vec::new();
-        for id in nl.instance_ids() {
-            let inst = nl.instance(id);
+        for id in sta.netlist().instance_ids() {
+            let inst = sta.netlist().instance(id);
             let Some(cell) = library.cell(&inst.cell) else { continue };
             if cell.is_sequential() {
                 continue;
@@ -335,7 +310,6 @@ pub fn area_recover(
         }
         for (id, _, smaller) in &changes {
             sta.recell(*id, smaller)?;
-            nl.instance_mut(*id).cell = smaller.clone();
         }
         // Validate the batch: recovery must never create negative slack
         // (or worsen the CP when unconstrained). Only the downsized cones
@@ -348,7 +322,6 @@ pub fn area_recover(
         if violated {
             for (id, original, _) in &changes {
                 sta.recell(*id, original)?;
-                nl.instance_mut(*id).cell = original.clone();
             }
             break;
         }
@@ -382,7 +355,7 @@ fn strength_variants(library: &Library) -> HashMap<String, Vec<(String, f64)>> {
 mod tests {
     use super::*;
     use crate::test_fixtures::fixture_library;
-    use netlist::PortDir;
+    use netlist::{NetlistError, PortDir};
     use sta::analyze;
 
     fn star(fanout: usize) -> Netlist {
@@ -399,7 +372,8 @@ mod tests {
 
     /// Largest fanout of any net.
     fn max_fanout(nl: &Netlist, lib: &Library) -> usize {
-        nl.sinks(lib).unwrap().values().map(Vec::len).max().unwrap_or(0)
+        let bound = Bound::new(nl, lib).unwrap();
+        (0..nl.net_count()).map(|n| bound.sinks(NetId::from_index(n)).len()).max().unwrap_or(0)
     }
 
     #[test]

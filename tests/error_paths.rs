@@ -7,6 +7,7 @@ use reliaware::bti::AgingScenario;
 use reliaware::flow::{
     annotation_from_sta, image_from_pgm, CharConfig, CharError, Characterizer, EvalError, FlowError,
 };
+use reliaware::logicsim::{run_cycles, SimError};
 use reliaware::netlist::{Netlist, NetlistError, PortDir};
 use reliaware::sta::{analyze, Constraints, StaError};
 use reliaware::stdcells::CellSet;
@@ -39,6 +40,54 @@ fn sta_reports_unknown_cell_as_typed_error() {
     );
     assert!(flow_err.to_string().starts_with("[sta] "), "{flow_err}");
     assert_eq!(flow_err.exit_code(), 1);
+}
+
+/// `u0` reads `n2` of the loop `u1` (`NAND2_X1`) <-> `u2` (`INV_X1`) but is not
+/// on it.
+fn loop_read_from_outside() -> Netlist {
+    let mut nl = Netlist::new("loop");
+    let a = nl.add_port("a", PortDir::Input);
+    let y = nl.add_port("y", PortDir::Output);
+    let (n1, n2) = (nl.add_net("n1"), nl.add_net("n2"));
+    nl.add_instance("u0", "INV_X1", &[("A", n2), ("Y", y)]);
+    nl.add_instance("u1", "NAND2_X1", &[("A", a), ("B", n2), ("Y", n1)]);
+    nl.add_instance("u2", "INV_X1", &[("A", n1), ("Y", n2)]);
+    nl
+}
+
+#[test]
+fn sta_and_simulation_name_one_instance_on_a_loop() {
+    let mut lib = fixture_library();
+    let nl = loop_read_from_outside();
+    let from_sta = match analyze(&nl, &lib, &Constraints::default()) {
+        Err(StaError::CombinationalLoop { instance }) => instance,
+        other => panic!("expected CombinationalLoop from analyze, got {other:?}"),
+    };
+    let from_sim = match run_cycles(&nl, &lib, None, &[vec![false]]) {
+        Err(SimError::CombinationalLoop { instance }) => instance,
+        other => panic!("expected CombinationalLoop from run_cycles, got {other:?}"),
+    };
+    assert_eq!(from_sta, from_sim);
+    assert!(from_sta == "u1" || from_sta == "u2", "{from_sta} is not on the loop");
+
+    // Without NAND2_X1's B arc the loop is still what analyze reports, and
+    // a loop-free use of the cell reports the missing arc.
+    let mut nand = lib.cell("NAND2_X1").cloned().expect("fixture has NAND2_X1");
+    nand.outputs[0].arcs.retain(|arc| arc.related_pin != "B");
+    lib.remove_cell("NAND2_X1");
+    lib.add_cell(nand);
+    assert!(matches!(
+        analyze(&nl, &lib, &Constraints::default()),
+        Err(StaError::CombinationalLoop { .. })
+    ));
+    let mut open = Netlist::new("open");
+    let (a, b) = (open.add_port("a", PortDir::Input), open.add_port("b", PortDir::Input));
+    let y = open.add_port("y", PortDir::Output);
+    open.add_instance("u0", "NAND2_X1", &[("A", a), ("B", b), ("Y", y)]);
+    assert!(matches!(
+        analyze(&open, &lib, &Constraints::default()),
+        Err(StaError::MissingArc { input, .. }) if input == "B"
+    ));
 }
 
 #[test]
