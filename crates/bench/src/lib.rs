@@ -105,10 +105,16 @@ pub fn worst_vth_only_library(ctx: &Arc<RunContext>) -> Result<Library, FlowErro
     Ok(characterizer_in(ctx)?.library_vth_only(&AgingScenario::worst_case(LIFETIME_YEARS))?)
 }
 
-/// The netlist-cache digest of `library`: a [`KeyHasher`] over its Liberty
-/// text, which renders every value exactly.
+/// The synthesis tag of the netlist cache. Bump it with every change to the
+/// synthesis code that can change the netlist mapped from one design and
+/// one set of libraries: cached netlists then miss and are mapped again.
+const SYNTH_TAG: &str = "reliaware-synth-v1";
+
+/// The netlist-cache digest of `library`: a [`KeyHasher`] over
+/// [`SYNTH_TAG`] and the library's Liberty text, which renders every value
+/// exactly.
 fn library_digest(library: &Library) -> u64 {
-    KeyHasher::new().str(&write_library(library)).finish()
+    KeyHasher::new().str(SYNTH_TAG).str(&write_library(library)).finish()
 }
 
 /// The cache file name of design `design` mapped against the libraries
@@ -472,6 +478,15 @@ mod tests {
         let name = |lib: &Library| netlist_file("DCT", &[library_digest(lib)]);
         assert_ne!(name(&base), name(&moved));
         assert_eq!(name(&base), name(&synth::test_fixtures::fixture_library()));
+    }
+
+    /// A name made from the libraries' digest alone, without the synthesis
+    /// tag, never matches: netlists cached without the tag are not read.
+    #[test]
+    fn netlist_file_tracks_the_synthesis_tag() {
+        let lib = synth::test_fixtures::fixture_library();
+        let untagged = KeyHasher::new().str(&write_library(&lib)).finish();
+        assert_ne!(netlist_file("DCT", &[library_digest(&lib)]), netlist_file("DCT", &[untagged]));
     }
 
     #[test]

@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! Physics-based Bias Temperature Instability (BTI) aging model.
 //!
 //! This crate implements the device-level aging model of the DAC'16 paper

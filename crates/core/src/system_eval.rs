@@ -12,12 +12,13 @@ use circuits::{fixed, Design};
 use imgproc::{psnr, GrayImage};
 use liberty::Library;
 use logicsim::{SimError, TimedSim};
-use netlist::{ArcDelays, DelayAnnotation, Netlist, NetlistError};
-use sta::{analyze, Constraints, StaError};
+use netlist::{DelayAnnotation, Netlist};
+use sta::{Constraints, StaError};
 
 /// Builds the per-arc delay annotation of `netlist` under `library` by
 /// running STA and freezing each arc's delay at its propagated input slew
-/// and actual output load — the SDF-generation step of the paper's flow.
+/// and actual output load ([`sta::annotate`]) — the SDF-generation step of
+/// the paper's flow.
 ///
 /// A relialint pre-flight gate runs first: error diagnostics abort (as
 /// [`StaError::Preflight`]), warnings are logged to stderr.
@@ -35,35 +36,7 @@ pub fn annotation_from_sta(
     for d in &survivors {
         eprintln!("[relialint] {d}");
     }
-    let report = analyze(netlist, library, constraints)?;
-    let mut ann = DelayAnnotation::new();
-    for id in netlist.instance_ids() {
-        let inst = netlist.instance(id);
-        let Some(cell) = library.cell(&inst.cell) else {
-            return Err(StaError::Netlist(NetlistError::UnknownCell {
-                instance: inst.name.clone(),
-                cell: inst.cell.clone(),
-            }));
-        };
-        for out in &cell.outputs {
-            let Some(out_net) = inst.net_on(&out.name) else { continue };
-            let load = report.load(out_net);
-            for arc in &out.arcs {
-                let Some(in_net) = inst.net_on(&arc.related_pin) else { continue };
-                let slew = report.slew_edge(in_net, true).max(report.slew_edge(in_net, false));
-                ann.set(
-                    id,
-                    &arc.related_pin,
-                    &out.name,
-                    ArcDelays {
-                        rise: arc.delay(true, slew, load),
-                        fall: arc.delay(false, slew, load),
-                    },
-                );
-            }
-        }
-    }
-    Ok(ann)
+    sta::annotate(netlist, library, constraints)
 }
 
 /// The outcome of pushing an image through the gate-level chain.
@@ -242,6 +215,9 @@ pub fn run_image_chain(
 mod tests {
     use super::*;
     use circuits::{dct8, idct8};
+    use liberty::CellClass;
+    use netlist::ArcDelays;
+    use sta::analyze;
     use synth::test_fixtures::fixture_library;
     use synth::{synthesize, MapOptions};
 
@@ -279,6 +255,65 @@ mod tests {
         let ann = annotation_from_sta(&nl, &lib, &Constraints::default()).unwrap();
         assert!(!ann.is_empty());
         assert!(ann.max_delay() > 0.0);
+    }
+
+    /// Every entry is its library arc's delay at the input net's larger
+    /// slew and the output net's load, as `analyze` reports them by pin
+    /// name: a flop's clk→Q arc on its clock row, zero where the cell has
+    /// no arc or the output is unconnected.
+    #[test]
+    fn annotation_holds_each_arc_at_its_slew_and_load() {
+        let lib = fixture_library();
+        let mut nl = synthesize(&circuits::risc_5p().aig, &lib, &MapOptions::default()).unwrap();
+        let a = nl.instance_ids().find_map(|id| nl.instance(id).net_on("A")).unwrap();
+        nl.add_instance("spare", "NAND2_X1", &[("A", a), ("B", a)]);
+        let c = Constraints::default();
+        let report = analyze(&nl, &lib, &c).unwrap();
+        let ann = annotation_from_sta(&nl, &lib, &c).unwrap();
+        let (mut clock_rows, mut no_arc, mut unconnected) = (0, 0, 0);
+        for id in nl.instance_ids() {
+            let inst = nl.instance(id);
+            let cell = lib.cell(&inst.cell).unwrap();
+            assert_eq!(ann.shape(id), (cell.inputs.len(), cell.outputs.len()));
+            let clock = match &cell.class {
+                CellClass::Flop { clock, .. } => Some(clock),
+                CellClass::Combinational => None,
+            };
+            for (i, input) in cell.inputs.iter().enumerate() {
+                let in_net = inst.net_on(&input.name).unwrap();
+                let slew = report.slew_edge(in_net, true).max(report.slew_edge(in_net, false));
+                for (o, output) in cell.outputs.iter().enumerate() {
+                    let want = match (output.arc_from(&input.name), inst.net_on(&output.name)) {
+                        (Some(arc), Some(out_net)) => {
+                            let load = report.load(out_net);
+                            clock_rows += usize::from(clock == Some(&input.name));
+                            ArcDelays {
+                                rise: arc.delay(true, slew, load),
+                                fall: arc.delay(false, slew, load),
+                            }
+                        }
+                        (None, _) => {
+                            no_arc += 1;
+                            ArcDelays::default()
+                        }
+                        (_, None) => {
+                            unconnected += 1;
+                            ArcDelays::default()
+                        }
+                    };
+                    let got = ann.get(id, i, o);
+                    assert_eq!(
+                        (got.rise.to_bits(), got.fall.to_bits()),
+                        (want.rise.to_bits(), want.fall.to_bits()),
+                        "{} {} -> {}",
+                        inst.name,
+                        input.name,
+                        output.name
+                    );
+                }
+            }
+        }
+        assert!(clock_rows > 0 && no_arc > 0 && unconnected == 2, "{clock_rows} {no_arc}");
     }
 
     /// End-to-end smoke test at a generous clock: the gate-level chain

@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! Grayscale image utilities for the system-level aging study.
 //!
 //! The paper quantifies aging by pushing images through a gate-level

@@ -36,6 +36,13 @@ pub enum SimError {
         /// The requested period, in seconds.
         period: f64,
     },
+    /// A delay annotation laid out for another netlist.
+    AnnotationMismatch {
+        /// The first instance whose cell has another input or output count
+        /// than its rows in the annotation; `None` when the instance counts
+        /// differ.
+        instance: Option<String>,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -54,6 +61,12 @@ impl fmt::Display for SimError {
             SimError::BadClock { port } => write!(f, "clock port {port} not found among inputs"),
             SimError::BadPeriod { period } => {
                 write!(f, "clock period {period:e} s is not positive and finite")
+            }
+            SimError::AnnotationMismatch { instance: None } => {
+                write!(f, "delay annotation holds another instance count than the netlist")
+            }
+            SimError::AnnotationMismatch { instance: Some(i) } => {
+                write!(f, "delay annotation rows of instance {i} do not match its cell's pins")
             }
         }
     }

@@ -101,7 +101,7 @@ impl SimStructure {
     /// The value flop `k` captures from `values`: its data net's.
     #[inline]
     pub fn captured(&self, k: InstId, values: &[bool]) -> Option<bool> {
-        let (_, data) = self.cells[k.index()].flop.as_ref()?;
-        Some(values[self.bound.input_net(k, (*data)?).index()])
+        let (_, data) = self.cells[k.index()].flop?;
+        Some(values[self.bound.input_net(k, data?).index()])
     }
 }

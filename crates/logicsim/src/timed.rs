@@ -10,7 +10,7 @@
 use crate::structure::SimStructure;
 use crate::SimError;
 use liberty::Library;
-use netlist::{ArcDelays, DelayAnnotation, InstId, Netlist};
+use netlist::{DelayAnnotation, InstId, Netlist};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -52,23 +52,18 @@ impl PartialOrd for Event {
 /// delay annotation.
 ///
 /// [`TimedSim::new`] binds the netlist to its library, compiles the cells it
-/// uses, settles the initial state and resolves every arc delay of the
-/// annotation into a dense per-instance table, so
-/// [`TimedSim::run`] looks up no names. Every run resets all per-run state,
-/// so runs on one `TimedSim` give exactly what fresh [`run_timed`] calls
-/// give.
+/// uses, settles the initial state and keeps a copy of the annotation's
+/// dense delay table, so [`TimedSim::run`] looks up no names. Every run
+/// resets all per-run state, so runs on one `TimedSim` give exactly what
+/// fresh [`run_timed`] calls give.
 #[derive(Debug, Clone)]
 pub struct TimedSim {
     s: SimStructure,
     /// Per net: its combinational sinks as `(instance, input position)`, in
     /// instance and position order. Flops sample only at the clock edge.
     net_sinks: Vec<Vec<(InstId, usize)>>,
-    /// Per instance: index of its first entry in `arcs`. A combinational
-    /// instance has one row per input position, a flop one clk→Q row; each
-    /// row holds one entry per output position.
-    arc_base: Vec<usize>,
-    /// Arc delays, unannotated arcs at zero.
-    arcs: Vec<ArcDelays>,
+    /// Arc delays laid out by the binding's pins.
+    delays: DelayAnnotation,
     /// Net values with all inputs low and all flops at 0, settled with
     /// zero delays: where every run starts.
     settled: Vec<bool>,
@@ -76,13 +71,14 @@ pub struct TimedSim {
 
 impl TimedSim {
     /// Compiles `netlist` against `library` with the per-arc delays of
-    /// `delays` (unannotated arcs default to zero delay). `clock_port`
-    /// names the clock input, which takes no vector bit.
+    /// `delays`, a table laid out for this netlist's binding or one of no
+    /// instances (zero delay on every arc). `clock_port` names the clock
+    /// input, which takes no vector bit.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] for broken netlists, combinational loops or an
-    /// unknown clock port.
+    /// Returns [`SimError`] for broken netlists, combinational loops, an
+    /// unknown clock port or an annotation laid out for another netlist.
     pub fn new(
         netlist: &Netlist,
         library: &Library,
@@ -90,25 +86,24 @@ impl TimedSim {
         clock_port: Option<&str>,
     ) -> Result<Self, SimError> {
         let s = SimStructure::build(netlist, library, clock_port)?;
+        let delays = if delays.is_empty() {
+            DelayAnnotation::zeroed(&s.bound)
+        } else {
+            if delays.instance_count() != netlist.instance_count() {
+                return Err(SimError::AnnotationMismatch { instance: None });
+            }
+            let pins = |id| (s.bound.input_nets(id).len(), s.bound.output_nets(id).len());
+            if let Some(id) = netlist.instance_ids().find(|&id| delays.shape(id) != pins(id)) {
+                let instance = Some(netlist.instance(id).name.clone());
+                return Err(SimError::AnnotationMismatch { instance });
+            }
+            delays.clone()
+        };
         let mut net_sinks = vec![Vec::new(); s.n_nets];
-        let mut arc_base = Vec::with_capacity(s.cells.len());
-        let mut arcs = Vec::new();
         for (id, cell) in netlist.instance_ids().zip(&s.cells) {
-            arc_base.push(arcs.len());
-            let rows: &[String] = match &cell.flop {
-                Some((clock, _)) => std::slice::from_ref(clock),
-                None => {
-                    for (pos, net) in s.bound.input_nets(id).enumerate() {
-                        net_sinks[net.index()].push((id, pos));
-                    }
-                    &cell.inputs
-                }
-            };
-            for from in rows {
-                for (to, _) in &cell.outputs {
-                    arcs.push(
-                        delays.get(id, from, to).unwrap_or(ArcDelays { rise: 0.0, fall: 0.0 }),
-                    );
+            if cell.flop.is_none() {
+                for (pos, net) in s.bound.input_nets(id).enumerate() {
+                    net_sinks[net.index()].push((id, pos));
                 }
             }
         }
@@ -118,15 +113,14 @@ impl TimedSim {
         for k in s.comb_order() {
             s.settle(k, &mut settled);
         }
-        Ok(TimedSim { s, net_sinks, arc_base, arcs, settled })
+        Ok(TimedSim { s, net_sinks, delays, settled })
     }
 
-    /// The delay of instance `k`'s arc from row `row` (input position, or
-    /// 0 for a flop's clk→Q row) to output position `o`, for a rising or
-    /// falling output.
+    /// The delay of instance `k`'s arc from input position `input` to
+    /// output position `o`, for a rising or falling output.
     #[inline]
-    fn delay(&self, k: usize, row: usize, o: usize, rising: bool) -> f64 {
-        let arc = self.arcs[self.arc_base[k] + row * self.s.cells[k].outputs.len() + o];
+    fn delay(&self, k: InstId, input: usize, o: usize, rising: bool) -> f64 {
+        let arc = self.delays.get(k, input, o);
         if rising {
             arc.rise
         } else {
@@ -190,12 +184,13 @@ impl TimedSim {
             }
             // Flops drive captured state after clk→Q.
             for (fi, k) in s.flops().enumerate() {
+                let clock = s.cells[k.index()].flop.and_then(|(clock, _)| clock);
                 for (o, net) in s.bound.output_nets(k).enumerate() {
                     let Some(net) = net else { continue };
                     let v = flop_state[fi];
                     if target[net.index()] != v {
                         target[net.index()] = v;
-                        let d = self.delay(k.index(), 0, o, v);
+                        let d = clock.map_or(0.0, |c| self.delay(k, c, o, v));
                         schedule(&mut queue, &mut latest, t_edge + d, net.index(), v);
                     }
                 }
@@ -219,7 +214,7 @@ impl TimedSim {
                         let new = cell.eval(o, row);
                         if target[out_net.index()] != new {
                             target[out_net.index()] = new;
-                            let d = self.delay(k.index(), pos, o, new);
+                            let d = self.delay(k, pos, o, new);
                             schedule(&mut queue, &mut latest, e.time + d, out_net.index(), new);
                         }
                     }
@@ -266,7 +261,7 @@ mod tests {
     use super::*;
     use crate::run_cycles;
     use liberty::{Cell, Library};
-    use netlist::{ArcDelays, PortDir};
+    use netlist::{ArcDelays, Bound, PortDir};
 
     fn lib() -> Library {
         let mut lib = Library::new("l", 1.2);
@@ -290,9 +285,10 @@ mod tests {
     }
 
     fn annotate(nl: &Netlist, d: f64) -> DelayAnnotation {
-        let mut ann = DelayAnnotation::new();
+        let mut ann = DelayAnnotation::zeroed(&Bound::new(nl, &lib()).unwrap());
         for id in nl.instance_ids() {
-            ann.set(id, "A", "Y", ArcDelays { rise: d, fall: d });
+            // A → Y
+            ann.set(id, 0, 0, ArcDelays { rise: d, fall: d });
         }
         ann
     }
@@ -354,6 +350,30 @@ mod tests {
         }
     }
 
+    /// A table laid out for another netlist is a typed error: another
+    /// instance count, or an instance whose cell has other pin counts.
+    #[test]
+    fn an_annotation_of_another_netlist_is_a_typed_error() {
+        let lib = crate::test_cells::lib();
+        let ann = annotate(&chain(2), 10e-12);
+        match TimedSim::new(&chain(3), &lib, &ann, None) {
+            Err(SimError::AnnotationMismatch { instance: None }) => {}
+            other => panic!("expected AnnotationMismatch, got {other:?}"),
+        }
+        let mut nl = Netlist::new("nand");
+        let a = nl.add_port("a", PortDir::Input);
+        let y = nl.add_port("y", PortDir::Output);
+        let n = nl.add_net("n");
+        nl.add_instance("u0", "INV_X1", &[("A", a), ("Y", n)]);
+        nl.add_instance("u1", "NAND2_X1", &[("A", n), ("B", a), ("Y", y)]);
+        match run_timed(&nl, &lib, &ann, 1e-9, None, &[vec![true]]) {
+            Err(e @ SimError::AnnotationMismatch { instance: Some(_) }) => {
+                assert!(e.to_string().contains("u1"), "{e}");
+            }
+            other => panic!("expected AnnotationMismatch naming u1, got {other:?}"),
+        }
+    }
+
     /// `q` samples the flop's output: it lags `d` by one cycle while the
     /// clk→Q delay fits the period, and misses edges once it does not.
     #[test]
@@ -367,8 +387,9 @@ mod tests {
         let vectors: Vec<Vec<bool>> = [true, false, true, true, false].map(|b| vec![b]).into();
         let golden = run_cycles(&nl, &lib, Some("clk"), &vectors).unwrap();
         let with_clk_q = |d: f64| {
-            let mut ann = DelayAnnotation::new();
-            ann.set(ff, "CK", "Q", ArcDelays { rise: d, fall: d });
+            let mut ann = DelayAnnotation::zeroed(&Bound::new(&nl, &lib).unwrap());
+            // CK (input 1) → Q
+            ann.set(ff, 1, 0, ArcDelays { rise: d, fall: d });
             TimedSim::new(&nl, &lib, &ann, Some("clk")).unwrap()
         };
 
@@ -395,9 +416,10 @@ mod tests {
         let vectors: Vec<Vec<bool>> = (0..6).map(|k| vec![k % 2 == 0]).collect();
         let golden = run_cycles(&nl, &lib, None, &vectors).unwrap();
         let run = |a_delay: f64, b_delay: f64| {
-            let mut ann = DelayAnnotation::new();
-            ann.set(g, "A", "Y", ArcDelays { rise: a_delay, fall: a_delay });
-            ann.set(g, "B", "Y", ArcDelays { rise: b_delay, fall: b_delay });
+            let mut ann = DelayAnnotation::zeroed(&Bound::new(&nl, &lib).unwrap());
+            // A → Y and B → Y
+            ann.set(g, 0, 0, ArcDelays { rise: a_delay, fall: a_delay });
+            ann.set(g, 1, 0, ArcDelays { rise: b_delay, fall: b_delay });
             run_timed(&nl, &lib, &ann, 500e-12, None, &vectors).unwrap()
         };
         let fast_a = run(100e-12, 700e-12);

@@ -2,7 +2,7 @@
 //! activity-statistics invariants and duty-cycle extraction bounds.
 
 use liberty::{Cell, Library};
-use netlist::{ArcDelays, DelayAnnotation, Netlist, PortDir};
+use netlist::{ArcDelays, Bound, DelayAnnotation, Netlist, PortDir};
 use proptest::prelude::*;
 
 fn lib() -> Library {
@@ -29,10 +29,11 @@ fn random_dag(choices: &[usize]) -> Netlist {
 }
 
 fn annotate(nl: &Netlist, delays: &[f64]) -> DelayAnnotation {
-    let mut ann = DelayAnnotation::new();
+    let mut ann = DelayAnnotation::zeroed(&Bound::new(nl, &lib()).expect("binds"));
     for (k, id) in nl.instance_ids().enumerate() {
         let d = delays[k % delays.len()];
-        ann.set(id, "A", "Y", ArcDelays { rise: d, fall: d * 0.9 });
+        // A → Y
+        ann.set(id, 0, 0, ArcDelays { rise: d, fall: d * 0.9 });
     }
     ann
 }

@@ -36,7 +36,7 @@ pub struct Bound {
     /// and its output count. The table holds the net of each cell input,
     /// then of each cell output ([`NONE`] if unconnected), in the cell's
     /// pin order; validation guarantees every input is connected.
-    pin_span: Vec<[u32; 3]>,
+    pub(crate) pin_span: Vec<[u32; 3]>,
     pins: Vec<u32>,
     /// Per connection, instance-major (instance `k` owns
     /// `conn_base[k]..conn_base[k + 1]`): the index of the cell input its

@@ -10,8 +10,8 @@
 //! paper's flow.
 //!
 //! The crate also provides a structural-Verilog subset writer/parser
-//! ([`verilog`]), an SDF delay-annotation writer ([`sdf`]) matching the
-//! paper's gate-level simulation setup, and the λ-index renaming of
+//! ([`verilog`]), the dense per-arc delay table that timing analysis hands
+//! to timed simulation ([`DelayAnnotation`]), and the λ-index renaming of
 //! Sec. 4.2 ([`annotate`]).
 //!
 //! # Example
@@ -29,13 +29,13 @@
 
 pub mod annotate;
 mod bound;
+mod delays;
 mod error;
-pub mod sdf;
 pub mod verilog;
 
 pub use bound::Bound;
+pub use delays::{ArcDelays, DelayAnnotation};
 pub use error::NetlistError;
-pub use sdf::{parse_sdf, ArcDelays, DelayAnnotation};
 
 use liberty::Library;
 use std::collections::HashMap;

@@ -1,19 +1,9 @@
-//! Error-path coverage of the structural-Verilog and SDF parsers: every
-//! malformed input must come back as a typed [`NetlistError`] — never a
-//! panic — and parse errors must carry a usable line number.
+//! Error-path coverage of the structural-Verilog parser: every malformed
+//! input must come back as a typed [`NetlistError`] — never a panic — and
+//! parse errors must carry a usable line number.
 
 use netlist::verilog::parse_verilog;
-use netlist::{parse_sdf, ArcDelays, DelayAnnotation, Netlist, NetlistError, PortDir};
-
-fn two_inverters() -> Netlist {
-    let mut nl = Netlist::new("m");
-    let a = nl.add_port("a", PortDir::Input);
-    let y = nl.add_port("y", PortDir::Output);
-    let n1 = nl.add_net("n1");
-    nl.add_instance("u0", "INV_X1", &[("A", a), ("Y", n1)]);
-    nl.add_instance("u1", "INV_X1", &[("A", n1), ("Y", y)]);
-    nl
-}
+use netlist::NetlistError;
 
 // ---------------------------------------------------------------- Verilog
 
@@ -89,76 +79,4 @@ fn stray_character_and_unterminated_comment() {
     let err = parse_verilog("module m (a);\n/* never closed").unwrap_err();
     assert!(matches!(err, NetlistError::Parse { line: 2, .. }), "{err}");
     assert!(err.to_string().contains("comment"), "{err}");
-}
-
-// -------------------------------------------------------------------- SDF
-
-#[test]
-fn truncated_sdf_is_a_typed_error() {
-    let nl = two_inverters();
-    let mut ann = DelayAnnotation::new();
-    let ids: Vec<_> = nl.instance_ids().collect();
-    ann.set(ids[0], "A", "Y", ArcDelays { rise: 1e-12, fall: 2e-12 });
-    ann.set(ids[1], "A", "Y", ArcDelays { rise: 3e-12, fall: 4e-12 });
-    let full = ann.write_sdf(&nl);
-    assert!(parse_sdf(&full, &nl).is_ok());
-
-    // Every truncation must come back as a Result, never a panic. (The
-    // parser skips unknown tokens, so many prefixes legitimately parse as
-    // files with fewer arcs — only the typed-error guarantee is universal.)
-    for cut in 0..full.len() {
-        let _ = parse_sdf(&full[..cut], &nl);
-    }
-
-    // A cut inside a delay triple specifically must be an EOF parse error.
-    let iopath = full.find("IOPATH").expect("writer emits IOPATH");
-    let triple_start = full[iopath..].find('(').expect("triple opens") + iopath;
-    let triple_end = full[triple_start..].find(')').expect("triple closes") + triple_start;
-    for cut in triple_start + 1..=triple_end {
-        let err =
-            parse_sdf(&full[..cut], &nl).expect_err("truncation inside a delay triple must fail");
-        assert!(err.to_string().contains("end of SDF"), "cut {cut}: {err}");
-    }
-}
-
-#[test]
-fn sdf_unknown_instance_reference() {
-    let nl = two_inverters();
-    let text = "(DELAYFILE\n  (CELL (CELLTYPE \"INV_X1\")\n    (INSTANCE ghost)\n\
-                (DELAY (ABSOLUTE\n  (IOPATH A Y (1:1:1) (1:1:1)))))\n)";
-    let err = parse_sdf(text, &nl).unwrap_err();
-    let NetlistError::Parse { line, message } = &err else {
-        panic!("expected parse error, got {err:?}");
-    };
-    assert_eq!(*line, 3, "{err}");
-    assert!(message.contains("ghost"), "{err}");
-}
-
-#[test]
-fn sdf_iopath_outside_cell() {
-    let nl = two_inverters();
-    let text = "(DELAYFILE (IOPATH A Y (1:1:1) (1:1:1)))";
-    let err = parse_sdf(text, &nl).unwrap_err();
-    assert!(err.to_string().contains("IOPATH outside CELL"), "{err}");
-}
-
-#[test]
-fn sdf_bad_delay_values() {
-    let nl = two_inverters();
-    // Non-numeric value.
-    let text = "(DELAYFILE (CELL (INSTANCE u0) (IOPATH A Y (abc:1:1) (1:1:1))))";
-    let err = parse_sdf(text, &nl).unwrap_err();
-    assert!(err.to_string().contains("abc"), "{err}");
-
-    // Empty triple.
-    let text = "(DELAYFILE (CELL (INSTANCE u0) (IOPATH A Y () (1:1:1))))";
-    let err = parse_sdf(text, &nl).unwrap_err();
-    assert!(err.to_string().contains("empty delay triple"), "{err}");
-}
-
-#[test]
-fn sdf_unterminated_string() {
-    let nl = two_inverters();
-    let err = parse_sdf("(DELAYFILE (DESIGN \"m))", &nl).unwrap_err();
-    assert!(err.to_string().contains("unterminated string"), "{err}");
 }

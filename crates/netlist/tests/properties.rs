@@ -1,9 +1,9 @@
-//! Property-based tests: random netlists survive the Verilog and SDF text
-//! round trips, and λ annotation composes with name splitting.
+//! Property-based tests: random netlists survive the Verilog text round
+//! trip, and λ annotation composes with name splitting.
 
 use liberty::LambdaTag;
 use netlist::verilog::{parse_verilog, write_verilog};
-use netlist::{parse_sdf, ArcDelays, DelayAnnotation, Netlist, PortDir};
+use netlist::{Netlist, PortDir};
 use proptest::prelude::*;
 
 /// Builds a random single-output-per-gate netlist from connection choices.
@@ -43,42 +43,6 @@ proptest! {
             for ((pin_a, net_a), (pin_b, net_b)) in pa.connections.iter().zip(&pb.connections) {
                 prop_assert_eq!(pin_a, pin_b);
                 prop_assert_eq!(parsed.net_name(*net_a), nl.net_name(*net_b));
-            }
-        }
-    }
-
-    /// Delay annotations survive SDF write → parse within print precision.
-    #[test]
-    fn sdf_round_trip(
-        cells in prop::collection::vec((any::<usize>(), any::<usize>()), 1..15),
-        delays in prop::collection::vec(1e-12f64..5e-10, 1..6),
-    ) {
-        let nl = random_netlist(&cells);
-        let mut ann = DelayAnnotation::new();
-        for (k, id) in nl.instance_ids().enumerate() {
-            let d = delays[k % delays.len()];
-            let pins: Vec<String> = nl
-                .instance(id)
-                .connections
-                .iter()
-                .map(|(p, _)| p.clone())
-                .filter(|p| p != "Y")
-                .collect();
-            for pin in pins {
-                ann.set(id, &pin, "Y", ArcDelays { rise: d, fall: d * 0.8 });
-            }
-        }
-        let text = ann.write_sdf(&nl);
-        let parsed = parse_sdf(&text, &nl).expect("parses");
-        prop_assert_eq!(parsed.len(), ann.len());
-        for id in nl.instance_ids() {
-            for pin in ["A", "B"] {
-                if let Some(orig) = ann.get(id, pin, "Y") {
-                    let back = parsed.get(id, pin, "Y").expect("present");
-                    // SDF prints 6 decimals in ns → 1 fs precision.
-                    prop_assert!((orig.rise - back.rise).abs() < 1e-15);
-                    prop_assert!((orig.fall - back.fall).abs() < 1e-15);
-                }
             }
         }
     }

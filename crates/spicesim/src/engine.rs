@@ -136,10 +136,9 @@ impl Trace {
     ///
     /// # Panics
     ///
-    /// Panics if the trace is empty (a run always records at least the
-    /// initial point, so this only fires on a default-constructed trace)
-    /// or if `node` was not observed.
+    /// Panics if `node` was not observed.
     #[must_use]
+    #[allow(clippy::expect_used)] // every trace records its initial point when it is made
     pub fn final_voltage(&self, node: NodeId) -> f64 {
         *self.voltage(node).last().expect("trace has at least one sample")
     }

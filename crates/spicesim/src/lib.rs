@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! Transistor-level transient circuit simulation.
 //!
 //! This crate is the repository's substitute for HSPICE: it simulates small

@@ -14,7 +14,7 @@ use crate::path::{PathSpec, PathStep};
 use crate::report::{Endpoint, EndpointKind, TimingReport};
 use crate::{Constraints, StaError};
 use liberty::{CellClass, CellId, Library, TimingSense};
-use netlist::{Bound, InstId, NetId, Netlist};
+use netlist::{ArcDelays, Bound, DelayAnnotation, InstId, NetId, Netlist};
 
 /// A missing arc, clock input or data net in the dense tables.
 const NONE: u32 = u32::MAX;
@@ -663,6 +663,51 @@ impl TimingGraph {
         }
     }
 
+    /// Every timed arc's delays at its input net's larger propagated slew
+    /// and its output net's load, laid out by the bound pins. Arcs of
+    /// unconnected outputs, and positions with no arc, stay zero.
+    fn annotation(&self, library: &Library) -> DelayAnnotation {
+        let mut ann = DelayAnnotation::zeroed(&self.bound);
+        let s = &self.state;
+        for k in 0..self.slot_base.len() {
+            let id = InstId::from_index(k);
+            let cell = library.cell_at(self.bound.cell(id));
+            let slots = &self.slots[self.slot_base[k] as usize..][..self.slot_len[k] as usize];
+            let mut fill = |input: u32, o: usize, slot: u32| {
+                if input == NONE || slot >= SKIP {
+                    return;
+                }
+                let Some(out_net) = self.bound.output_net(id, o) else { return };
+                let arc = &cell.outputs[o].arcs[slot as usize];
+                let i = self.bound.input_net(id, input as usize).index();
+                let slew = s.slew_rise[i].max(s.slew_fall[i]);
+                let load = self.loads[out_net.index()];
+                let delays = ArcDelays {
+                    rise: arc.delay(true, slew, load),
+                    fall: arc.delay(false, slew, load),
+                };
+                ann.set(id, input as usize, o, delays);
+            };
+            match cell.class {
+                // The clock's position, then per output the clock arc.
+                CellClass::Flop { .. } => {
+                    for (o, &slot) in slots[1..].iter().enumerate() {
+                        fill(slots[0], o, slot);
+                    }
+                }
+                CellClass::Combinational => {
+                    let n_in = cell.inputs.len();
+                    for o in 0..cell.outputs.len() {
+                        for p in 0..n_in {
+                            fill(ix(p), o, slots[o * n_in + p]);
+                        }
+                    }
+                }
+            }
+        }
+        ann
+    }
+
     /// Follows the worst-edge predecessors back from an endpoint, naming
     /// each step's pins.
     fn backtrack(
@@ -731,6 +776,24 @@ pub fn analyze(
 ) -> Result<TimingReport, StaError> {
     let graph = TimingGraph::build(netlist, library, constraints)?.0;
     Ok(graph.report(library, constraints))
+}
+
+/// Times `netlist` against `library` and returns the delays of every arc
+/// it timed, each at its input net's larger propagated slew (rise or fall)
+/// and its output net's load, in a table laid out by the netlist's bound
+/// pins. A flop's clk→Q arc sits on its clock input's row; arcs of
+/// unconnected outputs and positions with no arc hold zero.
+///
+/// # Errors
+///
+/// Returns what [`analyze`] returns for the same inputs.
+pub fn annotate(
+    netlist: &Netlist,
+    library: &Library,
+    constraints: &Constraints,
+) -> Result<DelayAnnotation, StaError> {
+    let graph = TimingGraph::build(netlist, library, constraints)?.0;
+    Ok(graph.annotation(library))
 }
 
 #[cfg(test)]

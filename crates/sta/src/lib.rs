@@ -50,7 +50,7 @@ mod paths_topk;
 mod report;
 
 pub use error::StaError;
-pub use graph::analyze;
+pub use graph::{analyze, annotate};
 pub use incremental::{IncrementalSta, StaChange, StaStats};
 pub use loops::combinational_loops;
 pub use path::{evaluate_path, evaluate_path_steps, evaluate_path_steps_with, PathSpec, PathStep};

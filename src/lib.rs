@@ -15,7 +15,7 @@
 //! - [`spicesim`] — transistor-level transient simulation (HSPICE substitute)
 //! - [`stdcells`] — the 68-cell open standard-cell library
 //! - [`liberty`] — NLDM timing libraries, Liberty-subset text format
-//! - [`netlist`] — gate-level netlists, Verilog subset, SDF export
+//! - [`netlist`] — gate-level netlists, Verilog subset, per-arc delay tables
 //! - [`sta`] — static timing analysis and guardband computation
 //! - [`dataflow`] — static λ-interval propagation and provable stress bounds
 //! - [`lint`] — relialint: rule-based static analysis and pre-flight gates
