@@ -1,4 +1,4 @@
-//! Criterion benchmark of the `AgingMechanism` hot path: the static
+//! Criterion benchmark of the `Mechanism` hot path: the static
 //! lifetime analyzer evaluates every mechanism at two interval endpoints
 //! per instance, so suite evaluation dominates its runtime.
 

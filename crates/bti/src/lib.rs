@@ -9,11 +9,11 @@
 //! which models `ΔVth` only.
 //!
 //! Beyond the paper, the mechanism layer generalizes the crate into a
-//! mechanism-generic aging toolkit: the [`AgingMechanism`] trait with
-//! NBTI/PBTI ([`BtiMechanism`]), hot-carrier injection ([`HciModel`]),
-//! electromigration ([`EmModel`]) and dielectric breakdown ([`TddbModel`])
-//! implementations, each reporting a [`Weibull`] time-to-failure — the
-//! substrate for static lifetime verification in the `dataflow` crate.
+//! mechanism-generic aging toolkit: one [`Mechanism`] type whose closed
+//! [`Law`] is NBTI/PBTI trap kinetics, the hot-carrier cycle power law,
+//! Black's electromigration equation or the dielectric-breakdown voltage
+//! power law, each reporting a [`Weibull`] time-to-failure — the substrate
+//! for static lifetime verification in the `dataflow` crate.
 //!
 //! The model follows the paper's Eqs. (2) and (3):
 //!
@@ -56,8 +56,7 @@ mod stress;
 pub use degradation::Degradation;
 pub use duty::{DutyCycle, DutyCycleError};
 pub use mechanism::{
-    monotonicity_violations, AgingInput, AgingMechanism, AgingSuite, BtiMechanism, EmModel,
-    HciModel, StressSource, TddbModel, Weibull,
+    monotonicity_violations, AgingInput, AgingSuite, Law, Mechanism, StressSource, Weibull,
 };
 pub use model::BtiModel;
 pub use scenario::{AgingScenario, DevicePair};

@@ -1,6 +1,6 @@
-//! Mechanism-generic aging layer: the [`AgingMechanism`] trait, the
-//! BTI/HCI/EM/TDDB wear-out models behind it, and the [`Weibull`]
-//! time-to-failure distribution they report.
+//! Mechanism-generic aging layer: one [`Mechanism`] type whose physics is
+//! a closed [`Law`], and the [`Weibull`] time-to-failure distribution every
+//! mechanism reports.
 //!
 //! The paper models BTI only; oldspot-style lifetime tools treat Hot-Carrier
 //! Injection, Electromigration and Time-Dependent Dielectric Breakdown as
@@ -8,7 +8,7 @@
 //! the crate accordingly: every mechanism maps one [`AgingInput`] — stress
 //! duty/activity, temperature, supply, clock frequency and elapsed time —
 //! to a parametric [`Degradation`] contribution and/or a [`Weibull`]
-//! time-to-failure.
+//! time-to-failure. The five standard mechanisms share four [`Law`]s.
 //!
 //! # The monotonicity contract
 //!
@@ -16,16 +16,17 @@
 //! the *endpoints* of provable input intervals and claims the results bound
 //! every point inside. That is sound **iff** each mechanism is monotone:
 //! degradation non-decreasing and failure time non-increasing in each of
-//! duty, temperature, Vdd, frequency and time. Every model here satisfies
-//! the contract analytically (power laws with non-negative exponents,
-//! Arrhenius and field acceleration); [`monotonicity_violations`] probes it
-//! numerically so misconfigured models (e.g. a negative exponent) are
-//! rejected instead of producing unsound bounds (lint rule `LT004`).
+//! duty, temperature, Vdd, frequency and time. Each law satisfies the
+//! contract analytically for non-negative exponents and activation
+//! energies (power laws, Arrhenius and field acceleration);
+//! [`monotonicity_violations`] probes it numerically so misconfigured
+//! parameters (e.g. a negative exponent) are rejected instead of producing
+//! unsound bounds (lint rule `LT004`).
 //!
 //! # Example
 //!
 //! ```
-//! use bti::{AgingInput, AgingMechanism, AgingSuite};
+//! use bti::{monotonicity_violations, AgingInput, AgingSuite, Law};
 //!
 //! let suite = AgingSuite::standard();
 //! let worst = AgingInput::new(1.0, 10.0, 398.15, 1.2, 1.0e9);
@@ -36,13 +37,19 @@
 //!         assert!(w.mttf_years() > 10.0, "{} fails inside the horizon", mech.name());
 //!     }
 //! }
+//!
+//! // A law's parameters are plain data; the probe rejects a set that
+//! // breaks the contract, such as HCI healing with use.
+//! let mut hci = suite.hci.clone();
+//! if let Law::CyclePowerLaw { cycle_exp, .. } = &mut hci.law {
+//!     *cycle_exp = -0.45;
+//! }
+//! assert!(!monotonicity_violations(&hci).is_empty());
 //! ```
 
+use crate::model::{arrhenius, field};
 use crate::{BtiModel, Degradation, DutyCycle, Stress, SECONDS_PER_YEAR};
 use std::fmt;
-
-/// Boltzmann constant in eV/K (shared by every Arrhenius factor).
-const K_BOLTZMANN_EV: f64 = 8.617_333_262e-5;
 
 /// Mechanisms that do not fail within this horizon report no failure
 /// distribution at all (the hazard is numerically irrelevant).
@@ -233,303 +240,269 @@ fn gamma(x: f64) -> f64 {
     (2.0 * std::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * acc
 }
 
-/// A wear-out mechanism: one operating point in, degradation and/or a
-/// failure distribution out.
+/// One wear-out mechanism: a [`Law`] with its parameters and the Weibull
+/// shape of its failure distribution. One operating point in, degradation
+/// and/or a failure distribution out.
 ///
-/// Implementations must honor the monotonicity contract documented at the
-/// module level: `delta_vth` non-decreasing and MTTF non-increasing
-/// along every input axis. `failure_distribution` returns `None` when the
-/// mechanism cannot fail at this operating point (zero stress) or its
-/// failure time exceeds the 10⁶-year horizon.
-pub trait AgingMechanism {
-    /// Short stable name (`"nbti"`, `"hci"`, ...), used in diagnostics and
-    /// JSON output.
-    fn name(&self) -> &'static str;
-
-    /// Parametric degradation accumulated by `input.years`.
-    fn degradation(&self, input: &AgingInput) -> Degradation;
-
-    /// Time-to-failure distribution under constant stress at `input`
-    /// (the `years` field is ignored — the distribution covers all time).
-    fn failure_distribution(&self, input: &AgingInput) -> Option<Weibull>;
-}
-
-/// BTI (NBTI or PBTI) adapted onto the mechanism trait.
-///
-/// Degradation delegates to the underlying [`BtiModel`]; the failure time
-/// is the (bisected) crossing of `ΔVth` over [`BtiMechanism::vth_crit`],
-/// used as the MTTF of a wear-out Weibull.
+/// The name is fixed by the constructor ([`Mechanism::nbti`], ...) and the
+/// stress quantity it consumes by its [`AgingSuite`] slot.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BtiMechanism {
-    /// The underlying power-law trap model.
-    pub model: BtiModel,
-    /// `ΔVth` (volts) at which the device counts as failed.
-    pub vth_crit: f64,
-    /// Weibull shape of the failure distribution (wear-out: > 1).
-    pub weibull_shape: f64,
+pub struct Mechanism {
     name: &'static str,
+    /// The physics and its parameters.
+    pub law: Law,
+    /// Weibull shape β of the failure distribution.
+    pub weibull_shape: f64,
 }
 
-impl BtiMechanism {
+/// The physics of a [`Mechanism`].
+///
+/// Every law is monotone in its inputs for non-negative exponents and
+/// activation energies; [`monotonicity_violations`] checks a parameter set.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Law {
+    /// BTI (NBTI or PBTI): the [`BtiModel`] trap kinetics of Eqs. (2) and
+    /// (3). The failure time is the (bisected) crossing of `ΔVth` over
+    /// `vth_crit`.
+    TrapKinetics {
+        /// The underlying power-law trap model.
+        model: BtiModel,
+        /// `ΔVth` (volts) at which the device counts as failed.
+        vth_crit: f64,
+    },
+    /// Hot-Carrier Injection: channel carriers heated by the lateral field
+    /// damage the Si/SiO₂ interface on every switching event.
+    ///
+    /// `ΔVth = a · (activity·f·t)^n · AF_T · AF_V` — cycle-count driven,
+    /// with a weak positive thermal activation and a strong field
+    /// dependence. The failure time inverts the power law at `vth_crit`.
+    CyclePowerLaw {
+        /// Prefactor in volts per cycle^`cycle_exp` (at the nominal corner).
+        a: f64,
+        /// Cycle-count exponent n (empirically ≈ 0.45).
+        cycle_exp: f64,
+        /// Activation energy in eV (HCI worsens mildly with temperature
+        /// here; the classic low-temperature worsening is below this
+        /// model's scope).
+        ea: f64,
+        /// Field-acceleration exponent `(V/Vnom)^γ`.
+        gamma_v: f64,
+        /// Mobility loss per volt of `ΔVth` (interface damage scatters
+        /// carriers).
+        mobility_per_volt: f64,
+        /// `ΔVth` (volts) at which the device counts as failed.
+        vth_crit: f64,
+    },
+    /// Electromigration on the gate's output wiring, via Black's equation:
+    /// `MTTF = A · (J/J0)^−n · exp(Ea/k · (1/T − 1/T0))` with the current
+    /// density `J` proportional to switching activity, frequency and
+    /// supply.
+    ///
+    /// EM is a hard (catastrophic) failure: it contributes no parametric
+    /// degradation, only a Weibull failure distribution.
+    Black {
+        /// Per-wire MTTF in years at the nominal corner (`J = J0`).
+        mttf_nominal_years: f64,
+        /// Black's current-density exponent n (≈ 2 for void nucleation).
+        current_exp: f64,
+        /// Activation energy in eV (Cu interconnect ≈ 0.9).
+        ea: f64,
+        /// Frequency at which activity 1 yields the nominal current density.
+        nominal_frequency_hz: f64,
+    },
+    /// Time-Dependent Dielectric Breakdown of the gate oxide: the vertical
+    /// field wears a conducting path through the dielectric whenever the
+    /// gate is biased — in either logic state, so TDDB is duty-independent
+    /// here.
+    ///
+    /// `MTTF = A · (V/Vnom)^−γ · exp(Ea/k · (1/T − 1/T0))`, the standard
+    /// power-law voltage model. Like EM, TDDB is a hard failure.
+    VoltagePowerLaw {
+        /// Per-device MTTF in years at the nominal corner.
+        mttf_nominal_years: f64,
+        /// Voltage-acceleration exponent γ (power-law TDDB ≈ 30–40; a
+        /// softer value keeps the model conservative over small Vdd
+        /// ranges).
+        voltage_exp: f64,
+        /// Activation energy in eV.
+        ea: f64,
+    },
+}
+
+impl Mechanism {
     /// NBTI on pMOS with the default parametric-failure criterion.
     #[must_use]
     pub fn nbti() -> Self {
-        BtiMechanism { model: BtiModel::nbti(), vth_crit: 0.15, weibull_shape: 3.0, name: "nbti" }
+        Self::trap("nbti", BtiModel::nbti())
     }
 
     /// PBTI on nMOS (about half as severe as NBTI).
     #[must_use]
     pub fn pbti() -> Self {
-        BtiMechanism { model: BtiModel::pbti(), ..Self::nbti() }.named("pbti")
+        Self::trap("pbti", BtiModel::pbti())
     }
 
-    fn named(mut self, name: &'static str) -> Self {
-        self.name = name;
-        self
-    }
-}
-
-impl AgingMechanism for BtiMechanism {
-    fn name(&self) -> &'static str {
-        self.name
+    fn trap(name: &'static str, model: BtiModel) -> Self {
+        Mechanism { name, law: Law::TrapKinetics { model, vth_crit: 0.15 }, weibull_shape: 3.0 }
     }
 
-    fn degradation(&self, input: &AgingInput) -> Degradation {
-        self.model.degradation(&input.stress_at(input.years))
-    }
-
-    fn failure_distribution(&self, input: &AgingInput) -> Option<Weibull> {
-        if input.duty <= 0.0 {
-            return None; // no stress, no trap generation, no failure
-        }
-        let crit = vth_budget(self.vth_crit, input);
-        // Only `t^n` changes along the inversion: the duty, Arrhenius and
-        // field factors are evaluated once.
-        let kinetics = self.model.kinetics(&input.stress_at(FAILURE_HORIZON_YEARS));
-        let delta_vth_at = |years: f64| kinetics.degradation(years * SECONDS_PER_YEAR).delta_vth;
-        if delta_vth_at(FAILURE_HORIZON_YEARS) < crit {
-            return None;
-        }
-        // ΔVth(t) is a sum of two power laws — strictly increasing — so the
-        // crossing time is unique; at most 80 bisection steps in log-time
-        // pin it to machine precision, deterministically.
-        let (mut lo, mut hi) = (1e-6f64.ln(), FAILURE_HORIZON_YEARS.ln());
-        if delta_vth_at(lo.exp()) >= crit {
-            return Some(Weibull::from_mttf(lo.exp(), self.weibull_shape));
-        }
-        for _ in 0..80 {
-            let mid = 0.5 * (lo + hi);
-            // `lo` is always below the crossing and `hi` at or above it, so
-            // a midpoint that rounds onto either end leaves `hi` where it
-            // is for every remaining step.
-            if mid == lo || mid == hi {
-                break;
-            }
-            if delta_vth_at(mid.exp()) < crit {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(Weibull::from_mttf(hi.exp(), self.weibull_shape))
-    }
-}
-
-/// Hot-Carrier Injection: channel carriers heated by the lateral field
-/// damage the Si/SiO₂ interface on every switching event.
-///
-/// `ΔVth = a · (activity·f·t)^n · AF_T · AF_V` — cycle-count driven, with a
-/// weak positive thermal activation and a strong field dependence. The
-/// failure time inverts the power law at [`HciModel::vth_crit`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HciModel {
-    /// Prefactor in volts per cycle^`cycle_exp` (at the nominal corner).
-    pub a: f64,
-    /// Cycle-count exponent n (empirically ≈ 0.45).
-    pub cycle_exp: f64,
-    /// Activation energy in eV (HCI worsens mildly with temperature here;
-    /// the classic low-temperature worsening is below this model's scope).
-    pub ea: f64,
-    /// Field-acceleration exponent `(V/Vnom)^γ`.
-    pub gamma_v: f64,
-    /// Mobility loss per volt of `ΔVth` (interface damage scatters carriers).
-    pub mobility_per_volt: f64,
-    /// `ΔVth` (volts) at which the device counts as failed.
-    pub vth_crit: f64,
-    /// Weibull shape of the failure distribution.
-    pub weibull_shape: f64,
-}
-
-impl HciModel {
-    /// Default 45 nm-class calibration: 10-year worst-case (activity 1 at
-    /// 1 GHz) contributes ≈ 15 mV — a clear second to NBTI, as in scaled
-    /// planar nodes.
+    /// HCI at the default 45 nm-class calibration: 10-year worst-case
+    /// (activity 1 at 1 GHz) contributes ≈ 15 mV — a clear second to NBTI,
+    /// as in scaled planar nodes.
     #[must_use]
-    pub fn standard() -> Self {
-        HciModel {
+    pub fn hci() -> Self {
+        let law = Law::CyclePowerLaw {
             a: 2.05e-10,
             cycle_exp: 0.45,
             ea: 0.06,
             gamma_v: 6.0,
             mobility_per_volt: 0.5,
             vth_crit: 0.15,
-            weibull_shape: 3.0,
-        }
+        };
+        Mechanism { name: "hci", law, weibull_shape: 3.0 }
     }
 
-    fn acceleration(&self, input: &AgingInput) -> f64 {
-        let arrhenius = (self.ea / K_BOLTZMANN_EV
-            * (1.0 / Stress::NOMINAL_TEMPERATURE_K - 1.0 / input.temperature_k))
-            .exp();
-        let field = (input.vdd / Stress::NOMINAL_VDD).powf(self.gamma_v);
-        arrhenius * field
-    }
-}
-
-impl AgingMechanism for HciModel {
-    fn name(&self) -> &'static str {
-        "hci"
-    }
-
-    fn degradation(&self, input: &AgingInput) -> Degradation {
-        let cycles = input.duty * input.frequency_hz * input.years * SECONDS_PER_YEAR;
-        if cycles <= 0.0 {
-            return Degradation::fresh();
-        }
-        let delta_vth = self.a * cycles.powf(self.cycle_exp) * self.acceleration(input);
-        Degradation {
-            delta_vth,
-            mobility_factor: 1.0 / (1.0 + self.mobility_per_volt * delta_vth),
-            interface_traps: 0.0,
-            oxide_traps: 0.0,
-        }
-    }
-
-    fn failure_distribution(&self, input: &AgingInput) -> Option<Weibull> {
-        let cycles_per_year = input.duty * input.frequency_hz * SECONDS_PER_YEAR;
-        if cycles_per_year <= 0.0 {
-            return None;
-        }
-        // Invert ΔVth = a·N^n·AF for the critical cycle count, then convert
-        // cycles to years at this operating frequency and activity.
-        let crit = vth_budget(self.vth_crit, input);
-        let critical_cycles =
-            (crit / (self.a * self.acceleration(input))).powf(1.0 / self.cycle_exp);
-        let mttf_years = critical_cycles / cycles_per_year;
-        (mttf_years <= FAILURE_HORIZON_YEARS)
-            .then(|| Weibull::from_mttf(mttf_years, self.weibull_shape))
-    }
-}
-
-/// Electromigration on the gate's output wiring, via Black's equation:
-/// `MTTF = A · (J/J0)^−n · exp(Ea/k · (1/T − 1/T0))` with the current
-/// density `J` proportional to switching activity, frequency and supply.
-///
-/// EM is a hard (catastrophic) failure: it contributes no parametric
-/// degradation, only a Weibull failure distribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EmModel {
-    /// Per-wire MTTF in years at the nominal corner (`J = J0`).
-    pub mttf_nominal_years: f64,
-    /// Black's current-density exponent n (≈ 2 for void nucleation).
-    pub current_exp: f64,
-    /// Activation energy in eV (Cu interconnect ≈ 0.9).
-    pub ea: f64,
-    /// Frequency at which activity 1 yields the nominal current density.
-    pub nominal_frequency_hz: f64,
-    /// Weibull shape of the failure distribution.
-    pub weibull_shape: f64,
-}
-
-impl EmModel {
-    /// Default calibration: 10⁵ years per wire at the nominal corner — EM
-    /// budgets are set per via/wire so that millions of them survive a
-    /// decade in series.
+    /// EM at the default calibration: 10⁵ years per wire at the nominal
+    /// corner — EM budgets are set per via/wire so that millions of them
+    /// survive a decade in series.
     #[must_use]
-    pub fn standard() -> Self {
-        EmModel {
+    pub fn em() -> Self {
+        let law = Law::Black {
             mttf_nominal_years: 1.0e5,
             current_exp: 2.0,
             ea: 0.9,
             nominal_frequency_hz: 1.0e9,
-            weibull_shape: 2.0,
-        }
-    }
-}
-
-impl AgingMechanism for EmModel {
-    fn name(&self) -> &'static str {
-        "em"
+        };
+        Mechanism { name: "em", law, weibull_shape: 2.0 }
     }
 
-    fn degradation(&self, _input: &AgingInput) -> Degradation {
-        Degradation::fresh()
-    }
-
-    fn failure_distribution(&self, input: &AgingInput) -> Option<Weibull> {
-        // Time-averaged current density scales with the charge moved per
-        // unit time: activity × frequency × Vdd.
-        let j_ratio = input.duty
-            * (input.frequency_hz / self.nominal_frequency_hz)
-            * (input.vdd / Stress::NOMINAL_VDD);
-        if j_ratio <= 0.0 {
-            return None; // a wire that never switches carries no net current
-        }
-        let arrhenius = (self.ea / K_BOLTZMANN_EV
-            * (1.0 / input.temperature_k - 1.0 / Stress::NOMINAL_TEMPERATURE_K))
-            .exp();
-        let mttf_years = self.mttf_nominal_years * j_ratio.powf(-self.current_exp) * arrhenius;
-        (mttf_years <= FAILURE_HORIZON_YEARS)
-            .then(|| Weibull::from_mttf(mttf_years, self.weibull_shape))
-    }
-}
-
-/// Time-Dependent Dielectric Breakdown of the gate oxide: the vertical
-/// field wears a conducting path through the dielectric whenever the gate
-/// is biased — in either logic state, so TDDB is duty-independent here.
-///
-/// `MTTF = A · (V/Vnom)^−γ · exp(Ea/k · (1/T − 1/T0))`, the standard
-/// power-law voltage model. Like EM, TDDB is a hard failure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TddbModel {
-    /// Per-device MTTF in years at the nominal corner.
-    pub mttf_nominal_years: f64,
-    /// Voltage-acceleration exponent γ (power-law TDDB ≈ 30–40; a softer
-    /// value keeps the model conservative over small Vdd ranges).
-    pub voltage_exp: f64,
-    /// Activation energy in eV.
-    pub ea: f64,
-    /// Weibull shape (< β of the wear-out modes: breakdown has a wide,
-    /// defect-driven spread).
-    pub weibull_shape: f64,
-}
-
-impl TddbModel {
-    /// Default calibration: 10⁶ years per device at the nominal corner.
+    /// TDDB at the default calibration: 10⁶ years per device at the
+    /// nominal corner, with a shape below the wear-out modes' (breakdown
+    /// has a wide, defect-driven spread).
     #[must_use]
-    pub fn standard() -> Self {
-        TddbModel { mttf_nominal_years: 1.0e6, voltage_exp: 12.0, ea: 0.7, weibull_shape: 1.2 }
-    }
-}
-
-impl AgingMechanism for TddbModel {
-    fn name(&self) -> &'static str {
-        "tddb"
+    pub fn tddb() -> Self {
+        let law = Law::VoltagePowerLaw { mttf_nominal_years: 1.0e6, voltage_exp: 12.0, ea: 0.7 };
+        Mechanism { name: "tddb", law, weibull_shape: 1.2 }
     }
 
-    fn degradation(&self, _input: &AgingInput) -> Degradation {
-        Degradation::fresh()
+    /// Short stable name (`"nbti"`, `"hci"`, ...), used in diagnostics and
+    /// JSON output.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
-    fn failure_distribution(&self, input: &AgingInput) -> Option<Weibull> {
-        let arrhenius = (self.ea / K_BOLTZMANN_EV
-            * (1.0 / input.temperature_k - 1.0 / Stress::NOMINAL_TEMPERATURE_K))
-            .exp();
-        let field = (input.vdd / Stress::NOMINAL_VDD).powf(-self.voltage_exp);
-        let mttf_years = self.mttf_nominal_years * field * arrhenius;
+    /// Parametric degradation accumulated by `input.years`.
+    #[must_use]
+    pub fn degradation(&self, input: &AgingInput) -> Degradation {
+        match &self.law {
+            Law::TrapKinetics { model, .. } => model.degradation(&input.stress_at(input.years)),
+            Law::CyclePowerLaw { a, cycle_exp, ea, gamma_v, mobility_per_volt, .. } => {
+                let cycles = input.duty * input.frequency_hz * input.years * SECONDS_PER_YEAR;
+                if cycles <= 0.0 {
+                    return Degradation::fresh();
+                }
+                let delta_vth =
+                    a * cycles.powf(*cycle_exp) * hci_acceleration(*ea, *gamma_v, input);
+                Degradation {
+                    delta_vth,
+                    mobility_factor: 1.0 / (1.0 + mobility_per_volt * delta_vth),
+                    interface_traps: 0.0,
+                    oxide_traps: 0.0,
+                }
+            }
+            Law::Black { .. } | Law::VoltagePowerLaw { .. } => Degradation::fresh(),
+        }
+    }
+
+    /// Time-to-failure distribution under constant stress at `input`
+    /// (the `years` field is ignored — the distribution covers all time).
+    ///
+    /// `None` when the mechanism cannot fail at this operating point (zero
+    /// stress) or its failure time exceeds the 10⁶-year horizon.
+    #[must_use]
+    pub fn failure_distribution(&self, input: &AgingInput) -> Option<Weibull> {
+        let mttf_years = match &self.law {
+            Law::TrapKinetics { model, vth_crit } => trap_crossing_years(model, *vth_crit, input)?,
+            Law::CyclePowerLaw { a, cycle_exp, ea, gamma_v, vth_crit, .. } => {
+                let cycles_per_year = input.duty * input.frequency_hz * SECONDS_PER_YEAR;
+                if cycles_per_year <= 0.0 {
+                    return None;
+                }
+                // Invert ΔVth = a·N^n·AF for the critical cycle count, then
+                // convert cycles to years at this frequency and activity.
+                let crit = vth_budget(*vth_crit, input);
+                let critical_cycles =
+                    (crit / (a * hci_acceleration(*ea, *gamma_v, input))).powf(1.0 / cycle_exp);
+                critical_cycles / cycles_per_year
+            }
+            Law::Black { mttf_nominal_years, current_exp, ea, nominal_frequency_hz } => {
+                // Time-averaged current density scales with the charge moved
+                // per unit time: activity × frequency × Vdd.
+                let j_ratio = input.duty
+                    * (input.frequency_hz / nominal_frequency_hz)
+                    * (input.vdd / Stress::NOMINAL_VDD);
+                if j_ratio <= 0.0 {
+                    return None; // a wire that never switches carries no net current
+                }
+                mttf_nominal_years
+                    * j_ratio.powf(-current_exp)
+                    * arrhenius(*ea, input.temperature_k, Stress::NOMINAL_TEMPERATURE_K)
+            }
+            Law::VoltagePowerLaw { mttf_nominal_years, voltage_exp, ea } => {
+                mttf_nominal_years
+                    * field(input.vdd, -voltage_exp)
+                    * arrhenius(*ea, input.temperature_k, Stress::NOMINAL_TEMPERATURE_K)
+            }
+        };
         (mttf_years <= FAILURE_HORIZON_YEARS)
             .then(|| Weibull::from_mttf(mttf_years, self.weibull_shape))
     }
+}
+
+/// HCI's combined thermal and field acceleration at `input`.
+fn hci_acceleration(ea: f64, gamma_v: f64, input: &AgingInput) -> f64 {
+    arrhenius(ea, Stress::NOMINAL_TEMPERATURE_K, input.temperature_k) * field(input.vdd, gamma_v)
+}
+
+/// The years after which BTI's `ΔVth` reaches the failure budget at
+/// `input`; `None` when the device is unstressed or stays below the budget
+/// up to the horizon.
+fn trap_crossing_years(model: &BtiModel, vth_crit: f64, input: &AgingInput) -> Option<f64> {
+    if input.duty <= 0.0 {
+        return None; // no stress, no trap generation, no failure
+    }
+    let crit = vth_budget(vth_crit, input);
+    // Only `t^n` changes along the inversion: the duty, Arrhenius and
+    // field factors are evaluated once.
+    let kinetics = model.kinetics(&input.stress_at(FAILURE_HORIZON_YEARS));
+    let delta_vth_at = |years: f64| kinetics.degradation(years * SECONDS_PER_YEAR).delta_vth;
+    if delta_vth_at(FAILURE_HORIZON_YEARS) < crit {
+        return None;
+    }
+    // ΔVth(t) is a sum of two power laws — strictly increasing — so the
+    // crossing time is unique; at most 80 bisection steps in log-time pin
+    // it to machine precision, deterministically. Both exits lie inside
+    // the horizon: `exp(ln 1e6)` rounds below 1e6.
+    let (mut lo, mut hi) = (1e-6f64.ln(), FAILURE_HORIZON_YEARS.ln());
+    if delta_vth_at(lo.exp()) >= crit {
+        return Some(lo.exp());
+    }
+    for _ in 0..80 {
+        let mid = 0.5 * (lo + hi);
+        // `lo` is always below the crossing and `hi` at or above it, so a
+        // midpoint that rounds onto either end leaves `hi` where it is for
+        // every remaining step.
+        if mid == lo || mid == hi {
+            break;
+        }
+        if delta_vth_at(mid.exp()) < crit {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(hi.exp())
 }
 
 /// Which per-gate stress quantity feeds a mechanism.
@@ -547,20 +520,20 @@ pub enum StressSource {
 /// with the stress quantity it consumes.
 ///
 /// The struct is plain data (`Clone`/`PartialEq`) so it can ride inside
-/// analysis configurations; [`AgingSuite::mechanisms`] exposes the members
-/// uniformly through the trait.
+/// analysis configurations; [`AgingSuite::mechanisms`] lists the members
+/// with their stress sources.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AgingSuite {
     /// NBTI on the pMOS devices.
-    pub nbti: BtiMechanism,
+    pub nbti: Mechanism,
     /// PBTI on the nMOS devices.
-    pub pbti: BtiMechanism,
+    pub pbti: Mechanism,
     /// Hot-carrier injection on the switching devices.
-    pub hci: HciModel,
+    pub hci: Mechanism,
     /// Electromigration on the output wiring.
-    pub em: EmModel,
+    pub em: Mechanism,
     /// Dielectric breakdown of the gate oxides.
-    pub tddb: TddbModel,
+    pub tddb: Mechanism,
 }
 
 impl AgingSuite {
@@ -568,18 +541,18 @@ impl AgingSuite {
     #[must_use]
     pub fn standard() -> Self {
         AgingSuite {
-            nbti: BtiMechanism::nbti(),
-            pbti: BtiMechanism::pbti(),
-            hci: HciModel::standard(),
-            em: EmModel::standard(),
-            tddb: TddbModel::standard(),
+            nbti: Mechanism::nbti(),
+            pbti: Mechanism::pbti(),
+            hci: Mechanism::hci(),
+            em: Mechanism::em(),
+            tddb: Mechanism::tddb(),
         }
     }
 
     /// Every mechanism with its stress source, in a fixed, deterministic
     /// order (nbti, pbti, hci, em, tddb).
     #[must_use]
-    pub fn mechanisms(&self) -> [(StressSource, &dyn AgingMechanism); 5] {
+    pub fn mechanisms(&self) -> [(StressSource, &Mechanism); 5] {
         [
             (StressSource::PmosDuty, &self.nbti),
             (StressSource::NmosDuty, &self.pbti),
@@ -608,7 +581,7 @@ impl Default for AgingSuite {
 /// and, since the process-variation axis joined the contract, what makes
 /// clamp-boundary evaluation cover every sampled device.
 #[must_use]
-pub fn monotonicity_violations(mechanism: &dyn AgingMechanism) -> Vec<String> {
+pub fn monotonicity_violations(mechanism: &Mechanism) -> Vec<String> {
     const REL_TOL: f64 = 1e-9;
     let base = AgingInput::worst(5.0);
     let axes: [(&str, [AgingInput; 3]); 6] = [
@@ -662,6 +635,14 @@ mod tests {
         (a - b).abs() <= rel * b.abs().max(1e-300)
     }
 
+    /// The trap model and failure criterion of a BTI mechanism.
+    fn trap_law(mech: &Mechanism) -> (&BtiModel, f64) {
+        let Law::TrapKinetics { model, vth_crit } = &mech.law else {
+            panic!("{} is not a trap-kinetics mechanism", mech.name())
+        };
+        (model, *vth_crit)
+    }
+
     #[test]
     fn gamma_matches_known_values() {
         // Γ(1) = Γ(2) = 1, Γ(3) = 2, Γ(1/2) = √π, Γ(1.5) = √π/2.
@@ -691,21 +672,22 @@ mod tests {
 
     #[test]
     fn bti_mechanism_matches_model() {
-        let nbti = BtiMechanism::nbti();
+        let nbti = Mechanism::nbti();
         let input = AgingInput::worst(10.0);
-        let via_trait = nbti.degradation(&input);
+        let via_law = nbti.degradation(&input);
         let direct = BtiModel::nbti().degradation(&Stress::years(10.0, DutyCycle::WORST));
-        assert_eq!(via_trait, direct);
+        assert_eq!(via_law, direct);
     }
 
     #[test]
     fn bti_failure_time_inverts_the_power_law() {
-        let nbti = BtiMechanism::nbti();
+        let nbti = Mechanism::nbti();
+        let (model, vth_crit) = trap_law(&nbti);
         let input = AgingInput::worst(10.0);
         let mttf = nbti.failure_distribution(&input).expect("worst-case NBTI fails").mttf_years();
         // The crossing time must actually cross the criterion.
-        assert!(nbti.model.delta_vth(&input.stress_at(mttf)) >= nbti.vth_crit * (1.0 - 1e-9));
-        assert!(nbti.model.delta_vth(&input.stress_at(mttf * 0.99)) < nbti.vth_crit);
+        assert!(model.delta_vth(&input.stress_at(mttf)) >= vth_crit * (1.0 - 1e-9));
+        assert!(model.delta_vth(&input.stress_at(mttf * 0.99)) < vth_crit);
         // 10-year ΔVth ≈ 51 mV with crit 150 mV → failure is far out but
         // within the horizon (power-law exponents 1/6..0.2).
         assert!(mttf > 100.0 && mttf < FAILURE_HORIZON_YEARS, "NBTI MTTF = {mttf}");
@@ -723,10 +705,10 @@ mod tests {
     /// were hoisted: Eq. (2) rebuilt from the model parameters, Arrhenius
     /// and field factors included, at every one of 80 bisection steps.
     fn reference_failure_distribution(
-        mech: &BtiMechanism,
+        mech: &Mechanism,
         input: &AgingInput,
     ) -> (Option<Weibull>, Exit) {
-        let m = &mech.model;
+        let (m, vth_crit) = trap_law(mech);
         let delta_vth_at = |years: f64| {
             let stress = input.stress_at(years);
             let traps = |a: f64, duty_exp: f64, time_exp: f64, ea: f64, gamma: f64| {
@@ -735,11 +717,9 @@ mod tests {
                 if lambda == 0.0 || t == 0.0 {
                     return 0.0;
                 }
-                let arrhenius = (ea / K_BOLTZMANN_EV
-                    * (1.0 / Stress::NOMINAL_TEMPERATURE_K - 1.0 / stress.temperature_k()))
-                .exp();
-                let field = (stress.vdd() / Stress::NOMINAL_VDD).powf(gamma);
-                a * lambda.powf(duty_exp) * t.powf(time_exp) * arrhenius * field
+                let af_t = arrhenius(ea, Stress::NOMINAL_TEMPERATURE_K, stress.temperature_k());
+                let af_v = field(stress.vdd(), gamma);
+                a * lambda.powf(duty_exp) * t.powf(time_exp) * af_t * af_v
             };
             crate::Q_ELECTRON / m.cox
                 * (traps(m.a_it, m.duty_exp_it, m.time_exp_it, m.ea_it, m.gamma_it)
@@ -748,7 +728,7 @@ mod tests {
         if input.duty <= 0.0 {
             return (None, Exit::BeyondHorizon);
         }
-        let crit = vth_budget(mech.vth_crit, input);
+        let crit = vth_budget(vth_crit, input);
         if delta_vth_at(FAILURE_HORIZON_YEARS) < crit {
             return (None, Exit::BeyondHorizon);
         }
@@ -771,7 +751,8 @@ mod tests {
     fn hoisted_bti_inversion_is_bit_identical_to_the_per_step_one() {
         let bits = |w: Option<Weibull>| w.map(|w| (w.scale_years.to_bits(), w.shape.to_bits()));
         let mut exits = Vec::new();
-        for mech in [BtiMechanism::nbti(), BtiMechanism::pbti()] {
+        for mech in [Mechanism::nbti(), Mechanism::pbti()] {
+            let (_, vth_crit) = trap_law(&mech);
             for duty in [1e-3, 0.3, 1.0] {
                 for temperature in [398.15, 428.15] {
                     for vdd in [1.1, 1.2, 1.3] {
@@ -779,7 +760,7 @@ mod tests {
                             let input = AgingInput::new(duty, 10.0, temperature, vdd, 1.0e9)
                                 .with_vth0_offset(offset);
                             if offset == 0.2 {
-                                assert_eq!(vth_budget(mech.vth_crit, &input), 1e-3, "1 mV floor");
+                                assert_eq!(vth_budget(vth_crit, &input), 1e-3, "1 mV floor");
                             }
                             let (expected, exit) = reference_failure_distribution(&mech, &input);
                             exits.push(exit);
@@ -799,6 +780,51 @@ mod tests {
         }
     }
 
+    /// Every `Degradation` field and Weibull `(scale, shape)` of the five
+    /// standard mechanisms over a fixed operating grid, folded bit for bit
+    /// into one FNV-1a digest. A change to any mechanism's arithmetic, down
+    /// to the operand order of one factor, changes the digest.
+    #[test]
+    fn standard_suite_results_are_pinned_bit_for_bit() {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |bits: u64| {
+            for byte in bits.to_le_bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let suite = AgingSuite::standard();
+        for duty in [0.0, 1e-3, 0.25, 0.5, 1.0] {
+            for years in [0.0, 1.0, 10.0, 1e3] {
+                for temperature in [348.15, 398.15, 428.15] {
+                    for vdd in [1.0, 1.2, 1.3] {
+                        for frequency in [0.5e9, 1.0e9, 2.0e9] {
+                            for offset in [-0.06, 0.0, 0.03, 0.2, 10.0] {
+                                let input =
+                                    AgingInput::new(duty, years, temperature, vdd, frequency)
+                                        .with_vth0_offset(offset);
+                                for (_, mech) in suite.mechanisms() {
+                                    let d = mech.degradation(&input);
+                                    fold(d.delta_vth.to_bits());
+                                    fold(d.mobility_factor.to_bits());
+                                    fold(d.interface_traps.to_bits());
+                                    fold(d.oxide_traps.to_bits());
+                                    match mech.failure_distribution(&input) {
+                                        Some(w) => {
+                                            fold(w.scale_years.to_bits());
+                                            fold(w.shape.to_bits());
+                                        }
+                                        None => fold(u64::MAX),
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, 0x898f_3b2b_8231_6115, "digest {digest:#018x}");
+    }
+
     #[test]
     fn unstressed_devices_never_fail() {
         let suite = AgingSuite::standard();
@@ -815,7 +841,7 @@ mod tests {
 
     #[test]
     fn hci_calibration_ten_year_worst_case() {
-        let d = HciModel::standard().degradation(&AgingInput::worst(10.0));
+        let d = Mechanism::hci().degradation(&AgingInput::worst(10.0));
         assert!(d.delta_vth > 0.010 && d.delta_vth < 0.020, "HCI ΔVth = {}", d.delta_vth);
         assert!(d.mobility_factor < 1.0 && d.mobility_factor > 0.99);
     }
@@ -833,9 +859,10 @@ mod tests {
 
     #[test]
     fn em_follows_blacks_equation() {
-        let em = EmModel::standard();
+        let em = Mechanism::em();
+        let Law::Black { mttf_nominal_years, .. } = em.law else { panic!("EM follows Black") };
         let nominal = em.failure_distribution(&AgingInput::worst(10.0)).unwrap().mttf_years();
-        assert!(approx(nominal, em.mttf_nominal_years, 1e-9));
+        assert!(approx(nominal, mttf_nominal_years, 1e-9));
         // Halving activity quadruples the MTTF (J^−2).
         let half = AgingInput { duty: 0.5, ..AgingInput::worst(10.0) };
         let m_half = em.failure_distribution(&half).unwrap().mttf_years();
@@ -866,11 +893,12 @@ mod tests {
 
     #[test]
     fn vth0_offset_consumes_the_failure_budget() {
-        let nbti = BtiMechanism::nbti();
+        let nbti = Mechanism::nbti();
+        let (model, vth_crit) = trap_law(&nbti);
         let base = AgingInput::worst(10.0);
         let slow = base.with_vth0_offset(0.05);
         let fast = base.with_vth0_offset(-0.05);
-        let mttf = |m: &dyn AgingMechanism, i: &AgingInput| {
+        let mttf = |m: &Mechanism, i: &AgingInput| {
             m.failure_distribution(i).map_or(f64::INFINITY, |w| w.mttf_years())
         };
         // A device born slow has less generated-ΔVth budget and fails
@@ -879,13 +907,13 @@ mod tests {
         assert!(mttf(&nbti, &fast) > mttf(&nbti, &base));
         // The crossing honors the reduced budget exactly.
         let t = mttf(&nbti, &slow);
-        assert!(nbti.model.delta_vth(&slow.stress_at(t)) >= (nbti.vth_crit - 0.05) * (1.0 - 1e-9));
+        assert!(model.delta_vth(&slow.stress_at(t)) >= (vth_crit - 0.05) * (1.0 - 1e-9));
         // HCI inverts its power law at the same reduced budget.
-        let hci = HciModel::standard();
+        let hci = Mechanism::hci();
         assert!(mttf(&hci, &slow) < mttf(&hci, &base));
         // EM and TDDB are not Vth-criterion mechanisms: the offset is a no-op.
-        let em = EmModel::standard();
-        let tddb = TddbModel::standard();
+        let em = Mechanism::em();
+        let tddb = Mechanism::tddb();
         assert_eq!(em.failure_distribution(&base), em.failure_distribution(&slow));
         assert_eq!(tddb.failure_distribution(&base), tddb.failure_distribution(&slow));
         // Degradation trajectories are offset-independent (the offset moves
@@ -901,7 +929,9 @@ mod tests {
     fn probe_rejects_a_non_monotone_configuration() {
         // A negative cycle exponent makes HCI *heal* with use — exactly the
         // misconfiguration the probe (and LT004) must reject.
-        let broken = HciModel { cycle_exp: -0.45, ..HciModel::standard() };
+        let mut broken = Mechanism::hci();
+        let Law::CyclePowerLaw { cycle_exp, .. } = &mut broken.law else { panic!("HCI law") };
+        *cycle_exp = -0.45;
         let violations = monotonicity_violations(&broken);
         assert!(!violations.is_empty());
         assert!(violations.iter().any(|v| v.contains("hci")));

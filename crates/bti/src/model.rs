@@ -1,7 +1,18 @@
 use crate::{Degradation, Stress, Q_ELECTRON};
 
-/// Boltzmann constant in eV/K.
+/// Boltzmann constant in eV/K (shared by every Arrhenius factor).
 const K_BOLTZMANN_EV: f64 = 8.617_333_262e-5;
+
+/// Arrhenius factor `exp(Ea/k · (1/t_ref − 1/t))` for `ea` in eV. Rates
+/// pass the nominal temperature as `t_ref`, failure times pass it as `t`.
+pub(crate) fn arrhenius(ea: f64, t_ref: f64, t: f64) -> f64 {
+    (ea / K_BOLTZMANN_EV * (1.0 / t_ref - 1.0 / t)).exp()
+}
+
+/// Field factor `(vdd / Vnom)^exponent` against [`Stress::NOMINAL_VDD`].
+pub(crate) fn field(vdd: f64, exponent: f64) -> f64 {
+    (vdd / Stress::NOMINAL_VDD).powf(exponent)
+}
 
 /// A phenomenological physics-based BTI model for one device polarity.
 ///
@@ -130,10 +141,8 @@ impl BtiModel {
         let term = |a: f64, duty_exp: f64, time_exp: f64, ea: f64, gamma: f64| TrapTerm {
             duty_scaled: a * stress.duty().value().powf(duty_exp),
             time_exp,
-            arrhenius: (ea / K_BOLTZMANN_EV
-                * (1.0 / Stress::NOMINAL_TEMPERATURE_K - 1.0 / stress.temperature_k()))
-            .exp(),
-            field: (stress.vdd() / Stress::NOMINAL_VDD).powf(gamma),
+            arrhenius: arrhenius(ea, Stress::NOMINAL_TEMPERATURE_K, stress.temperature_k()),
+            field: field(stress.vdd(), gamma),
         };
         TrapKinetics {
             it: term(self.a_it, self.duty_exp_it, self.time_exp_it, self.ea_it, self.gamma_it),

@@ -99,6 +99,7 @@ pub fn dct8() -> Design {
         y[k] = Some(round_asr(&mut aig, &acc, COEFF_BITS as usize));
     }
     for (k, bus) in y.iter().enumerate() {
+        #[allow(clippy::expect_used)] // the loops above build all eight outputs
         let out = resize_signed(bus.as_ref().expect("all outputs built"), SAMPLE_BITS);
         output_bus(&mut aig, &format!("y{k}"), &out);
     }
@@ -130,6 +131,7 @@ pub fn idct8() -> Design {
         x[7 - n] = Some(round_asr(&mut aig, &hi, COEFF_BITS as usize));
     }
     for (n, bus) in x.iter().enumerate() {
+        #[allow(clippy::expect_used)] // the loops above build all eight outputs
         let out = resize_signed(bus.as_ref().expect("all outputs built"), SAMPLE_BITS);
         output_bus(&mut aig, &format!("x{n}"), &out);
     }

@@ -41,6 +41,7 @@ pub fn dsp_fir() -> Design {
             Some(a) => add_ripple(&mut aig, &a, &p, Lit::FALSE).0,
         });
     }
+    #[allow(clippy::expect_used)] // the MAC loop runs once per tap, and there are four
     let acc = acc.expect("four taps");
 
     // Registered output.

@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! Benchmark circuit generators: the designs the paper evaluates.
 //!
 //! The paper uses five processor-class designs (VLIW, RISC with 5 and 6

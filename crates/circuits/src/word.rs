@@ -307,6 +307,7 @@ pub fn lt_unsigned(aig: &mut Aig, a: &Bus, b: &Bus) -> Lit {
 }
 
 /// Signed less-than comparison `a < b`.
+#[allow(clippy::expect_used)] // `a` is asserted non-empty; `sub` keeps `b` and `diff` as wide
 pub fn lt_signed(aig: &mut Aig, a: &Bus, b: &Bus) -> Lit {
     assert!(!a.is_empty());
     let (diff, _) = sub(aig, a, b);

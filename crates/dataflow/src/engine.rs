@@ -148,7 +148,8 @@ impl NetlistDataflow {
             }
         }
         while let Some(k) = queue.pop() {
-            let p = pending[k].as_ref().expect("queued instances are pending");
+            // Only pending instances are queued, each once.
+            let Some(p) = pending[k].as_ref() else { continue };
             let env = |pin: &str| {
                 p.inputs
                     .iter()

@@ -129,17 +129,15 @@ impl NetlistDataflow {
             .filter(|(pin, _)| cell.input_cap(pin).is_some())
             .map(|(_, net)| self.interval(*net))
             .collect();
-        if pins.is_empty() {
-            return None;
-        }
+        // An empty pin set has neither an average nor a maximum.
         Some(match extraction {
             Extraction::GateAverage => {
-                let nmos = Interval::average(&pins).expect("non-empty pin set");
+                let nmos = Interval::average(&pins)?;
                 LambdaBounds { pmos: nmos.not(), nmos }
             }
             Extraction::WorstPin => {
-                let nmos = pins.iter().copied().reduce(Interval::max).expect("non-empty");
-                let pmos = pins.iter().map(|i| i.not()).reduce(Interval::max).expect("non-empty");
+                let nmos = pins.iter().copied().reduce(Interval::max)?;
+                let pmos = pins.iter().map(|i| i.not()).reduce(Interval::max)?;
                 LambdaBounds { pmos, nmos }
             }
         })

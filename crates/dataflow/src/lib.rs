@@ -1,3 +1,4 @@
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! **dataflow** — static λ-interval analysis of gate-level netlists.
 //!
 //! The paper's degradation model is driven by per-transistor duty cycles

@@ -5,14 +5,15 @@
 //! λ-interval engine brackets every instance's stress — pMOS/nMOS duty
 //! cycles from the signal-probability lattice, switching activity from the
 //! output-net interval via `P(toggle) ≤ 2·min(p, 1−p)` — and every
-//! [`bti::AgingMechanism`] is evaluated at the *endpoints* of those
-//! intervals plus the configured temperature/Vdd ranges.
+//! [`bti::Mechanism`] is evaluated at the *endpoints* of those intervals
+//! plus the configured temperature/Vdd ranges.
 //!
 //! # Soundness argument
 //!
 //! Each mechanism is monotone in every input (degradation non-decreasing,
-//! failure time non-increasing — the trait contract, numerically probed by
-//! [`bti::monotonicity_violations`] and lint rule `LT004`). Therefore:
+//! failure time non-increasing — a property of each law's parameters,
+//! numerically probed by [`bti::monotonicity_violations`] and lint rule
+//! `LT004`). Therefore:
 //!
 //! 1. evaluating at the interval **high** endpoints yields a degradation
 //!    upper bound and a stochastically *smallest* failure distribution —
@@ -123,6 +124,20 @@ impl LifetimeConfig {
             out.push(format!("vth0 offset range ({olo}, {ohi}) is inverted"));
         }
         out
+    }
+
+    /// The worst-corner operating point of a mechanism at `stress` after
+    /// `years`: the top of the temperature and Vdd ranges, on a device
+    /// whose fresh Vth is offset by `vth0_offset`.
+    pub(crate) fn worst_input(&self, stress: f64, years: f64, vth0_offset: f64) -> AgingInput {
+        AgingInput::new(
+            stress,
+            years,
+            self.temperature_range.1,
+            self.vdd_range.1,
+            self.frequency_hz,
+        )
+        .with_vth0_offset(vth0_offset)
     }
 }
 
@@ -379,14 +394,7 @@ fn eval_corner(config: &LifetimeConfig, lambda: LambdaBounds, activity_hi: f64) 
         let (stress_lo, stress_hi) = stress_interval(*source, lambda, activity_hi);
         // MTTF is non-increasing in the fresh-Vth offset (monotonicity
         // contract), so the high endpoint belongs to the worst corner.
-        let worst_input = AgingInput::new(
-            stress_hi,
-            config.years,
-            config.temperature_range.1,
-            config.vdd_range.1,
-            config.frequency_hz,
-        )
-        .with_vth0_offset(config.vth0_offset_range.1);
+        let worst_input = config.worst_input(stress_hi, config.years, config.vth0_offset_range.1);
         let best_input = AgingInput::new(
             stress_lo,
             config.years,
@@ -529,7 +537,7 @@ pub fn static_lifetime_bound(
 
     let worst_instance = instances
         .iter()
-        .min_by(|a, b| a.mttf_lo_years.partial_cmp(&b.mttf_lo_years).expect("finite-or-inf"))
+        .min_by(|a, b| a.mttf_lo_years.total_cmp(&b.mttf_lo_years))
         .map(|i| i.name.clone());
 
     LifetimeReport {
@@ -576,14 +584,7 @@ fn years_until_budget(instances: &[InstanceLifetime], config: &LifetimeConfig) -
                     .iter()
                     .map(|(source, mech)| {
                         let (_, hi) = stress_interval(*source, lambda, f64::from_bits(a));
-                        let input = AgingInput::new(
-                            hi,
-                            years,
-                            config.temperature_range.1,
-                            config.vdd_range.1,
-                            config.frequency_hz,
-                        );
-                        mech.degradation(&input).delta_vth
+                        mech.degradation(&config.worst_input(hi, years, 0.0)).delta_vth
                     })
                     .sum::<f64>()
             })

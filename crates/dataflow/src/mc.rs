@@ -26,7 +26,7 @@
 
 use crate::lifetime::{pool_and_fold, stress_interval};
 use crate::{InstanceLifetime, LifetimeReport};
-use bti::{AgingInput, Weibull};
+use bti::Weibull;
 use std::collections::BTreeMap;
 
 /// Configuration of a Monte-Carlo lifetime run at the composition level:
@@ -119,14 +119,7 @@ pub(crate) fn instance_components(
         .enumerate()
         .filter_map(|(slot, (source, mech))| {
             let (_, stress_hi) = stress_interval(*source, inst.lambda, inst.activity_hi);
-            let worst_input = AgingInput::new(
-                stress_hi,
-                config.years,
-                config.temperature_range.1,
-                config.vdd_range.1,
-                config.frequency_hz,
-            )
-            .with_vth0_offset(vth0_offset);
+            let worst_input = config.worst_input(stress_hi, config.years, vth0_offset);
             Some((slot, mech.failure_distribution(&worst_input)?))
         })
         .collect()
@@ -213,7 +206,7 @@ impl McDistribution {
         assert!((0.0..=1.0).contains(&p), "quantile probability must be in [0, 1]");
         assert!(!self.samples.is_empty(), "no samples to take a quantile of");
         let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("MTTFs are never NaN"));
+        sorted.sort_by(f64::total_cmp);
         let rank = ((p * sorted.len() as f64).ceil() as usize).max(1) - 1;
         sorted[rank.min(sorted.len() - 1)]
     }

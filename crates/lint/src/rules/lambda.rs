@@ -13,7 +13,7 @@ use netlist::Netlist;
 
 pub(crate) fn check(netlist: &Netlist, library: &Library, out: &mut Vec<Diagnostic>) {
     let mut tagged = 0usize;
-    let mut gaps: Vec<&str> = Vec::new();
+    let mut untagged: Vec<(&str, &str)> = Vec::new();
     for inst in netlist.instances() {
         let (base, tag) = split_lambda_tag(&inst.cell);
         match tag {
@@ -23,17 +23,22 @@ pub(crate) fn check(netlist: &Netlist, library: &Library, out: &mut Vec<Diagnost
                     out_of_grid(inst, base, tag, library, out);
                 }
             }
-            None => {
-                if has_lambda_variants(library, base) {
-                    gaps.push(&inst.name);
-                }
-            }
+            None => untagged.push((&inst.name, base)),
         }
     }
     // LM002 fires only on *mixed* annotation: some instances retargeted,
     // others left on base cells that do have λ variants. A fully
-    // unannotated netlist is a different (legitimate) flow stage.
-    if tagged > 0 && !gaps.is_empty() {
+    // unannotated netlist is a different (legitimate) flow stage, so the
+    // library is not searched for variants at all.
+    if tagged == 0 {
+        return;
+    }
+    let gaps: Vec<&str> = untagged
+        .into_iter()
+        .filter(|(_, base)| has_lambda_variants(library, base))
+        .map(|(name, _)| name)
+        .collect();
+    if !gaps.is_empty() {
         let shown = gaps.iter().take(4).copied().collect::<Vec<_>>().join(", ");
         let suffix = if gaps.len() > 4 { ", ..." } else { "" };
         out.push(Diagnostic::new(
@@ -189,6 +194,20 @@ mod tests {
         assert_eq!(diags[0].rule, Rule::LambdaCoverageGap);
         assert_eq!(diags[0].location, Location::Design);
         assert!(diags[0].message.contains("u1"), "{}", diags[0].message);
+    }
+
+    #[test]
+    fn coverage_gap_when_the_untagged_instance_comes_first() {
+        let mut nl = Netlist::new("m");
+        let a = nl.add_port("a", PortDir::Input);
+        let y = nl.add_port("y", PortDir::Output);
+        let n1 = nl.add_net("n1");
+        nl.add_instance("u0", "INV_X1", &[("A", a), ("Y", n1)]);
+        nl.add_instance("u1", "INV_X1_0.25_0.25", &[("A", n1), ("Y", y)]);
+        let diags = run(&nl, &merged());
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].rule, Rule::LambdaCoverageGap);
+        assert!(diags[0].message.starts_with("1 instance(s) are λ-annotated but 1 are not (u0)"));
     }
 
     #[test]

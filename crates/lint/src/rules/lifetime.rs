@@ -179,7 +179,9 @@ mod tests {
     #[test]
     fn non_monotone_mechanism_is_rejected() {
         let mut config = lifetime_config();
-        config.lifetime.as_mut().unwrap().config.suite.hci.cycle_exp = -0.45;
+        let hci = &mut config.lifetime.as_mut().unwrap().config.suite.hci;
+        let bti::Law::CyclePowerLaw { cycle_exp, .. } = &mut hci.law else { panic!("HCI law") };
+        *cycle_exp = -0.45;
         let report = LintReport::run_lifetime(&inv_chain(2), &lib(), &config);
         assert!(report.has_errors());
         assert!(report.diagnostics().iter().any(|d| d.rule == Rule::NonMonotoneMechanism));
@@ -190,8 +192,16 @@ mod tests {
         // Lower every other mechanism's severity so TDDB owns the hazard.
         let mut config = lifetime_config();
         let lt = config.lifetime.as_mut().unwrap();
-        lt.config.suite.em.mttf_nominal_years = 9.0e5;
-        lt.config.suite.tddb.mttf_nominal_years = 2.0;
+        let bti::Law::Black { mttf_nominal_years: em, .. } = &mut lt.config.suite.em.law else {
+            panic!("EM law")
+        };
+        *em = 9.0e5;
+        let bti::Law::VoltagePowerLaw { mttf_nominal_years: tddb, .. } =
+            &mut lt.config.suite.tddb.law
+        else {
+            panic!("TDDB law")
+        };
+        *tddb = 2.0;
         lt.dominance_share = 0.5;
         let report = LintReport::run_lifetime(&inv_chain(2), &lib(), &config);
         let dominance: Vec<_> =

@@ -9,6 +9,7 @@ use reliaware::flow::{
 };
 use reliaware::logicsim::{run_cycles, SimError};
 use reliaware::netlist::{Netlist, NetlistError, PortDir};
+use reliaware::serve::{CharRequest, Op, Request};
 use reliaware::sta::{analyze, Constraints, StaError};
 use reliaware::stdcells::CellSet;
 use reliaware::synth::test_fixtures::fixture_library;
@@ -254,5 +255,146 @@ proptest! {
             "{rendered:?} does not lead with stage {:?}", e.stage()
         );
         prop_assert_eq!(e.exit_code() == 2, matches!(e, FlowError::Io { .. } | FlowError::Usage(_)));
+    }
+}
+
+/// Fragments spliced into request lines: whole fields, ill-typed or out of
+/// range, and the JSON punctuation and numbers that break a line.
+const REQUEST_TOKENS: &[&str] = &[
+    r#""v":"reliaware-serve-v0","#,
+    r#""op":"characterize","#,
+    r#""op":"stats","#,
+    r#""op":"nope","#,
+    r#""op":7,"#,
+    r#""cells":[],"#,
+    r#""cells":[1],"#,
+    r#""cells":"INV_X1","#,
+    r#""lambda_pmos":null,"#,
+    r#""years":"10","#,
+    r#""slews":[1e-11,null],"#,
+    r#""loads":{},"#,
+    r#""sigma_vth":0.015,"#,
+    r#""var_seed":9007199254740992,"#,
+    r#""var_seed":-1,"#,
+    r#""var_seed":1.5,"#,
+    "{",
+    "}",
+    "[",
+    "]",
+    ",",
+    ":",
+    "\"",
+    "\\u",
+    "1e400",
+    "-0",
+    "null",
+    " ",
+];
+
+/// Characters of generated ids and cell names: JSON's escapes and
+/// multi-byte UTF-8.
+const NAME_CHARS: &[char] = &['"', '\\', '\n', '\u{1}', '/', 'A', '_', '1', 'é', '😀'];
+
+/// Up to seven characters of [`NAME_CHARS`], chosen by the bits of `seed`.
+fn name_from(seed: u64) -> String {
+    let len = (seed % 8) as usize;
+    (0..len)
+        .map(|k| NAME_CHARS[((seed >> (3 + 6 * k)) % NAME_CHARS.len() as u64) as usize])
+        .collect()
+}
+
+/// A finite number from any bit pattern (the wire carries no NaN or ∞).
+fn finite_from(bits: u64) -> f64 {
+    let v = f64::from_bits(bits);
+    if v.is_finite() {
+        v
+    } else {
+        (bits >> 11) as f64
+    }
+}
+
+/// A request built from generated bits: a `stats` or `ping` request, or a
+/// `characterize` request whose names, axes and numbers all come from the
+/// seeds (the variation fields only when the spread is non-zero, as on the
+/// wire).
+fn request_from(
+    op: usize,
+    names: &[u64],
+    slews: &[u64],
+    loads: &[u64],
+    scalars: &[u64],
+    var_seed: u64,
+) -> Request {
+    let id = name_from(names[0]);
+    match op {
+        0 => Request::stats(&id),
+        1 => Request { id, op: Op::Ping },
+        _ => {
+            let [lp, ln, years, temperature, vdd, max_dv, sigma, clamp] =
+                std::array::from_fn(|k| finite_from(scalars[k]));
+            let mut c = CharRequest::new(&[], lp, ln, years);
+            c.cells = names[1..].iter().map(|&seed| name_from(seed)).collect();
+            c.slews = slews.iter().map(|&bits| finite_from(bits)).collect();
+            c.loads = loads.iter().map(|&bits| finite_from(bits)).collect();
+            (c.temperature_k, c.vdd, c.max_dv) = (temperature, vdd, max_dv);
+            if sigma != 0.0 {
+                c = c.with_variation(sigma, var_seed);
+                c.clamp_sigmas = clamp;
+            }
+            Request::characterize(&id, c)
+        }
+    }
+}
+
+/// `line` with [`REQUEST_TOKENS`] spliced in after its `{` or a `,`, so
+/// that a whole field can land where a field may stand, and cut short when
+/// `cut` is odd.
+fn mangle(mut line: String, splices: &[(usize, usize)], cut: usize) -> String {
+    for &(at, token) in splices {
+        let seams: Vec<usize> = line.match_indices(['{', ',']).map(|(i, _)| i + 1).collect();
+        line.insert_str(seams[at % seams.len()], REQUEST_TOKENS[token]);
+    }
+    if cut % 2 == 1 {
+        let mut end = cut / 2 % (line.len() + 1);
+        while !line.is_char_boundary(end) {
+            end -= 1;
+        }
+        line.truncate(end);
+    }
+    line
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A mangled request line is a request or a usage error, never a
+    /// panic.
+    #[test]
+    fn request_parse_never_panics(
+        op in 0usize..3,
+        names in proptest::collection::vec(any::<u64>(), 2..5),
+        slews in proptest::collection::vec(any::<u64>(), 0..4),
+        scalars in proptest::collection::vec(any::<u64>(), 8),
+        splices in proptest::collection::vec((any::<usize>(), 0..REQUEST_TOKENS.len()), 0..4),
+        cut in any::<usize>(),
+    ) {
+        let line = request_from(op, &names, &slews, &[], &scalars, 1).to_line();
+        let _ = Request::parse(&mangle(line, &splices, cut));
+    }
+
+    /// Every request a client can build survives `to_line` → `parse`
+    /// unchanged, escapes and extreme numbers included.
+    #[test]
+    fn generated_requests_round_trip_through_to_line(
+        op in 0usize..3,
+        names in proptest::collection::vec(any::<u64>(), 2..5),
+        slews in proptest::collection::vec(any::<u64>(), 0..4),
+        loads in proptest::collection::vec(any::<u64>(), 0..4),
+        scalars in proptest::collection::vec(any::<u64>(), 8),
+        var_seed in 0u64..(1 << 53),
+    ) {
+        let request = request_from(op, &names, &slews, &loads, &scalars, var_seed);
+        let line = request.to_line();
+        prop_assert_eq!(Request::parse(&line), Ok(request.clone()), "{}", line);
     }
 }
